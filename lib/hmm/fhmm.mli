@@ -10,6 +10,16 @@ type lattice = {
   length : int;  (** number of positions (extracts); must be ≥ 1 *)
   states : int -> int array;
       (** admissible encoded states at each position *)
+  preds : int -> int -> int array;
+      (** [preds i s], for [i >= 1]: the indices into [states (i - 1)],
+          strictly ascending, of every state whose transition into the
+          [s]-th state at [i] can be non-zero. Inference visits only these
+          pairs, so its cost follows the number of admissible transitions
+          rather than the number of pairs of states. The caller must not
+          leave out a predecessor whose [trans] is not [Logspace.zero]:
+          nothing checks this, and the transition's probability mass is
+          silently dropped from every result. Listing a predecessor whose
+          [trans] is zero is harmless. *)
   init : int -> float;  (** log prior of a state at position 0 *)
   trans : int -> int -> int -> float;
       (** [trans i prev cur]: log transition probability into position

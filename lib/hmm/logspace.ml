@@ -16,14 +16,21 @@ let add a b =
   else if a >= b then a +. log1p (exp (b -. a))
   else b +. log1p (exp (a -. b))
 
-let sum values =
-  let maximum = Array.fold_left max zero values in
-  if is_zero maximum then zero
-  else
-    let total =
-      Array.fold_left (fun acc v -> acc +. exp (v -. maximum)) 0. values
-    in
-    maximum +. log total
+let sum_prefix values n =
+  let maximum = ref zero in
+  for j = 0 to n - 1 do
+    maximum := max !maximum values.(j)
+  done;
+  if is_zero !maximum then zero
+  else begin
+    let total = ref 0. in
+    for j = 0 to n - 1 do
+      total := !total +. exp (values.(j) -. !maximum)
+    done;
+    !maximum +. log !total
+  end
+
+let sum values = sum_prefix values (Array.length values)
 
 let mul a b = if is_zero a || is_zero b then zero else a +. b
 
