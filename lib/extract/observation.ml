@@ -10,47 +10,60 @@ type t = {
   num_details : int;
 }
 
-let build ?(other_list_pages = []) ~extracts ~details () =
-  let num_details = List.length details in
-  let detail_indices = List.map Matching.index_detail details in
-  let list_indices = List.map Matching.index_detail other_list_pages in
-  let observe (extract : Extract.t) =
-    let observations =
-      List.mapi
-        (fun page index ->
-          List.map (fun pos -> (page, pos))
-            (Matching.occurrences index extract.Extract.words))
-        detail_indices
-      |> List.concat
-    in
-    let pages =
-      List.sort_uniq compare (List.map fst observations)
-    in
-    (extract, pages, observations)
-  in
+type builder = {
+  b_extracts : Extract.t array;
+  b_acc : (int * int) list array;  (** per-extract observations, reversed *)
+  mutable b_details : int;
+}
+
+let start extracts =
+  let b_extracts = Array.of_list extracts in
+  { b_extracts; b_acc = Array.make (Array.length b_extracts) []; b_details = 0 }
+
+let add_detail b index =
+  let page = b.b_details in
+  b.b_details <- page + 1;
+  Array.iteri
+    (fun i (extract : Extract.t) ->
+      b.b_acc.(i) <-
+        List.rev_append
+          (List.map
+             (fun pos -> (page, pos))
+             (Matching.occurrences index extract.Extract.words))
+          b.b_acc.(i))
+    b.b_extracts
+
+let finish ?(other_lists = []) b =
+  let num_details = b.b_details in
   let on_all_other_lists (extract : Extract.t) =
-    list_indices <> []
+    other_lists <> []
     && List.for_all
          (fun index -> Matching.contains index extract.Extract.words)
-         list_indices
+         other_lists
   in
   let entries = ref [] and extras = ref [] in
-  List.iter
-    (fun extract ->
-      let extract, pages, positions = observe extract in
+  Array.iteri
+    (fun i extract ->
+      let positions = List.rev b.b_acc.(i) in
+      let pages = List.sort_uniq compare (List.map fst positions) in
       let uninformative =
         pages = []
-        || List.length pages = num_details
+        || (num_details >= 2 && List.length pages = num_details)
         || on_all_other_lists extract
       in
       if uninformative then extras := extract :: !extras
       else entries := { extract; pages; positions } :: !entries)
-    extracts;
+    b.b_extracts;
   {
     entries = Array.of_list (List.rev !entries);
     extras = List.rev !extras;
     num_details;
   }
+
+let build ?(other_list_pages = []) ~extracts ~details () =
+  let b = start extracts in
+  List.iter (fun tokens -> add_detail b (Matching.index_detail tokens)) details;
+  finish ~other_lists:(List.map Matching.index_detail other_list_pages) b
 
 let candidate_count t =
   Array.fold_left

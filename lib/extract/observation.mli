@@ -3,10 +3,14 @@
     observed and the positions of those observations.
 
     Extracts that appear on {e all} list pages or on {e all} detail pages
-    carry no segmentation signal and are dropped (Section 3.2); extracts
-    observed on no detail page cannot be constrained and are set aside —
-    after segmentation they are attached to the record of the last assigned
-    extract preceding them (Section 6.2). *)
+    carry no segmentation signal and are dropped (Section 3.2). Each
+    filter needs a second page of its kind to mean anything: the list-page
+    filter applies only when there is another list page, the detail-page
+    filter only when there are at least 2 detail pages — with a single
+    detail page, every extract it matches is that one record's evidence.
+    Extracts observed on no detail page cannot be constrained and are set
+    aside — after segmentation they are attached to the record of the last
+    assigned extract preceding them (Section 6.2). *)
 
 open Tabseg_token
 
@@ -25,15 +29,30 @@ type t = {
   num_details : int;
 }
 
+type builder
+(** A table under construction: {!start}, one {!add_detail} per detail
+    page in record order, then {!finish}. A caller can drop each detail
+    page's tokens as soon as it has been added. *)
+
+val start : Extract.t list -> builder
+
+val add_detail : builder -> Matching.detail_index -> unit
+(** Match every extract against the next detail page (its index is the
+    number of detail pages added before it). *)
+
+val finish : ?other_lists:Matching.detail_index list -> builder -> t
+(** Apply the filters and freeze the table. [other_lists] are the other
+    list pages, for the "appears on all list pages" filter. *)
+
 val build :
   ?other_list_pages:Token.t array list ->
   extracts:Extract.t list ->
   details:Token.t array list ->
   unit ->
   t
-(** Build the observation table. [other_list_pages] enables the
-    "appears on all list pages" filter (the extract must also occur on every
-    one of them to be dropped). *)
+(** {!start}, {!add_detail} of each of [details], then {!finish}.
+    [other_list_pages] enables the "appears on all list pages" filter (the
+    extract must also occur on every one of them to be dropped). *)
 
 val candidate_count : t -> int
 (** Total number of (extract, candidate record) pairs — the number of

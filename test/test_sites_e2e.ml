@@ -114,6 +114,34 @@ let test_coverage_relaxation_recovers () =
   check_bool "coverage >= paper" true (score coverage >= score paper);
   check_bool "coverage recovers most records" true (score coverage >= 3)
 
+let test_one_record_page () =
+  (* A list page with a single record has a single detail page, so every
+     matched extract is on "all detail pages": that filter must not fire
+     with fewer than 2 detail pages, or the record segments to nothing. *)
+  List.iter
+    (fun (site : Sites.site) ->
+      let site = { site with Sites.records_per_page = [ 1; 6 ] } in
+      let generated = Sites.generate site in
+      let page = List.hd generated.Sites.pages in
+      let list_pages, detail_pages =
+        Sites.segmentation_input generated ~page_index:0
+      in
+      let input = { Tabseg.Pipeline.list_pages; detail_pages } in
+      List.iter
+        (fun method_ ->
+          let result = Tabseg.Api.segment ~method_ input in
+          let counts =
+            Scorer.score ~truth:page.Sites.truth
+              result.Tabseg.Api.segmentation
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s (%s): Cor/InC/FN/FP" site.Sites.name
+               (Tabseg.Api.method_name method_))
+            [ 1; 0; 0; 0 ]
+            Metrics.[ counts.cor; counts.incor; counts.fn; counts.fp ])
+        [ Tabseg.Api.Csp; Tabseg.Api.Probabilistic ])
+    Sites.all
+
 let () =
   Alcotest.run "tabseg_sites_e2e"
     [
@@ -137,5 +165,7 @@ let () =
             test_prob_full_recall_everywhere;
           Alcotest.test_case "coverage relaxation recovers" `Slow
             test_coverage_relaxation_recovers;
+          Alcotest.test_case "one-record page segments its record" `Slow
+            test_one_record_page;
         ] );
     ]
