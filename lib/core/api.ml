@@ -8,31 +8,7 @@ type result = {
   diagnostics : Prob_segmenter.diagnostics option;
 }
 
-let segment ?pipeline_config ?template_cache ?csp_config ?prob_config
-    ?(transpose_vertical = false) ~method_ input =
-  let prepared =
-    Pipeline.prepare ?config:pipeline_config ?template_cache input
-  in
-  let _input, prepared =
-    (* Vertical-layout extension (paper Section 3.2): if the observation
-       table shows the column-major signature, transpose every table and
-       redo the front half — the standard horizontal machinery then
-       applies. *)
-    if
-      transpose_vertical
-      && Vertical.looks_vertical prepared.Pipeline.observation
-    then begin
-      let input =
-        {
-          input with
-          Pipeline.list_pages =
-            List.map Vertical.transpose_tables input.Pipeline.list_pages;
-        }
-      in
-      (input, Pipeline.prepare ?config:pipeline_config ?template_cache input)
-    end
-    else (input, prepared)
-  in
+let solve ?csp_config ?prob_config ~method_ prepared =
   match method_ with
   | Csp ->
     let segmentation = Csp_segmenter.segment ?config:csp_config prepared in
@@ -42,6 +18,31 @@ let segment ?pipeline_config ?template_cache ?csp_config ?prob_config
       Prob_segmenter.segment ?config:prob_config prepared
     in
     { segmentation; prepared; diagnostics = Some diagnostics }
+
+let segment ?pipeline_config ?template_cache ?csp_config ?prob_config
+    ?(transpose_vertical = false) ~method_ input =
+  let prepare input =
+    Pipeline.prepare ?config:pipeline_config ?template_cache input
+  in
+  let prepared = prepare input in
+  let prepared =
+    (* Vertical-layout extension (paper Section 3.2): if the observation
+       table shows the column-major signature, transpose every table and
+       redo the front half — the standard horizontal machinery then
+       applies. *)
+    if
+      transpose_vertical
+      && Vertical.looks_vertical prepared.Pipeline.observation
+    then
+      prepare
+        {
+          input with
+          Pipeline.list_pages =
+            List.map Vertical.transpose_tables input.Pipeline.list_pages;
+        }
+    else prepared
+  in
+  solve ?csp_config ?prob_config ~method_ prepared
 
 let method_name = function
   | Csp -> "CSP"

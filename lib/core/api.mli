@@ -21,6 +21,14 @@ type result = {
       (** EM diagnostics; [None] for the CSP method *)
 }
 
+val solve :
+  ?csp_config:Csp_segmenter.config ->
+  ?prob_config:Prob_segmenter.config ->
+  method_:method_ ->
+  Pipeline.prepared ->
+  result
+(** Run the chosen segmentation method on a prepared front half. *)
+
 val segment :
   ?pipeline_config:Pipeline.config ->
   ?template_cache:Pipeline.template_cache ->

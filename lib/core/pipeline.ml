@@ -44,72 +44,87 @@ let page_set_key list_pages =
                Printf.sprintf "%d:%s" (String.length page) page)
              list_pages)))
 
-(* Locate the table slot; None when the induced template is unusable
-   (paper notes a/b). *)
-let locate_table config ?cache ~key pages page =
-  if List.length pages < 2 then (None, 0)
-  else begin
-    let induce () =
-      Instrument.time ~stage:"pipeline.template" (fun () ->
-          Template.induce pages)
-    in
-    let template =
-      match cache with
-      | None -> induce ()
-      | Some cache -> (
-        match cache.find_template ~key with
-        | Some template -> template
-        | None ->
-          let template = induce () in
-          cache.store_template ~key template;
-          template)
-    in
-    let template_size = Template.size template in
-    if template_size < config.min_template_tokens then (None, template_size)
-    else begin
-      let slots = Template.slots template page in
-      let total_words =
-        List.fold_left (fun acc slot -> acc + Slot.word_count slot) 0 slots
-      in
-      match Slot.table_slot slots with
-      | None -> (None, template_size)
-      | Some slot ->
-        let cover =
-          if total_words = 0 then 0.
-          else float_of_int (Slot.word_count slot) /. float_of_int total_words
-        in
-        if cover < config.min_slot_cover then (None, template_size)
-        else (Some slot, template_size)
-    end
-  end
+let tokenize html =
+  Instrument.time ~stage:"pipeline.tokenize" (fun () -> Tokenizer.tokenize html)
 
-let prepare ?(config = default_config) ?template_cache input =
-  (match input.list_pages with
-  | [] -> invalid_arg "Pipeline.prepare: no list pages"
-  | _ -> ());
-  let pages, details =
-    Instrument.time ~stage:"pipeline.tokenize" (fun () ->
-        ( List.map Tokenizer.tokenize input.list_pages,
-          List.map Tokenizer.tokenize input.detail_pages ))
-  in
+let locate ?(config = default_config) ?cached pages =
   let page = List.hd pages in
-  let others = List.tl pages in
-  let key = page_set_key input.list_pages in
-  let located, template_size =
-    locate_table config ?cache:template_cache ~key pages page
+  (* The whole page stands in when the induced template is unusable
+     (paper notes a/b). *)
+  let fallback template_size =
+    ( Slot.whole_page page,
+      [ Segmentation.Template_problem; Segmentation.Entire_page_used ],
+      template_size )
   in
-  let table_slot, notes =
-    match located with
-    | Some slot -> (slot, [])
-    | None ->
-      ( Slot.whole_page page,
-        [ Segmentation.Template_problem; Segmentation.Entire_page_used ] )
+  let ((table_slot, _, template_size) as located) =
+    if List.length pages < 2 then fallback 0
+    else begin
+      let induce () =
+        Instrument.time ~stage:"pipeline.template" (fun () ->
+            Template.induce pages)
+      in
+      let template =
+        match cached with
+        | None -> induce ()
+        | Some (cache, key) -> (
+          match cache.find_template ~key with
+          | Some template -> template
+          | None ->
+            let template = induce () in
+            cache.store_template ~key template;
+            template)
+      in
+      let template_size = Template.size template in
+      if template_size < config.min_template_tokens then fallback template_size
+      else begin
+        let slots = Template.slots template page in
+        let total_words =
+          List.fold_left (fun acc slot -> acc + Slot.word_count slot) 0 slots
+        in
+        match Slot.table_slot slots with
+        | None -> fallback template_size
+        | Some slot ->
+          let cover =
+            if total_words = 0 then 0.
+            else
+              float_of_int (Slot.word_count slot) /. float_of_int total_words
+          in
+          if cover < config.min_slot_cover then fallback template_size
+          else (slot, [], template_size)
+      end
+    end
   in
   Log.debug (fun m ->
       m "template %d tokens, table slot %a" template_size Slot.pp table_slot);
+  located
+
+let observe_detail builder tokens =
   Instrument.time ~stage:"pipeline.extract" (fun () ->
-      let extracts = Extract.of_slot table_slot in
-      let observation =
-        Observation.build ~other_list_pages:others ~extracts ~details ()
-      in
-      { page; table_slot; observation; notes; template_size })
+      Observation.add_detail builder (Matching.index_detail tokens))
+
+let finish_observation ~other_lists builder =
+  Instrument.time ~stage:"pipeline.extract" (fun () ->
+      Observation.finish ~other_lists builder)
+
+let prepare ?(config = default_config) ?template_cache input =
+  let pages =
+    match input.list_pages with
+    | [] -> invalid_arg "Pipeline.prepare: no list pages"
+    | list_pages -> List.map tokenize list_pages
+  in
+  let cached =
+    Option.map
+      (fun cache -> (cache, page_set_key input.list_pages))
+      template_cache
+  in
+  let table_slot, notes, template_size = locate ~config ?cached pages in
+  let builder = Observation.start (Extract.of_slot table_slot) in
+  List.iter
+    (fun html -> observe_detail builder (tokenize html))
+    input.detail_pages;
+  let observation =
+    finish_observation
+      ~other_lists:(List.map Matching.index_detail (List.tl pages))
+      builder
+  in
+  { page = List.hd pages; table_slot; observation; notes; template_size }

@@ -2,7 +2,8 @@
     3.1–3.2): tokenize the pages, induce the page template, locate the table
     slot (falling back to the entire page when the template is poor), cut
     the slot into extracts and build the observation table against the
-    detail pages. *)
+    detail pages. {!prepare} folds the stage functions over a complete
+    input; the stream engine calls the same stages as pages arrive. *)
 
 open Tabseg_token
 open Tabseg_template
@@ -55,8 +56,32 @@ type prepared = {
   template_size : int;  (** tokens in the induced template; 0 if none *)
 }
 
+val tokenize : string -> Token.t array
+(** {!Tabseg_token.Tokenizer.tokenize}, timed as [pipeline.tokenize]. *)
+
+val locate :
+  ?config:config ->
+  ?cached:template_cache * string ->
+  Token.t array list ->
+  Slot.t * Segmentation.note list * int
+(** [locate (page :: others)]: the table slot of [page] under the
+    template induced over all the pages (timed as [pipeline.template];
+    skipped when [~cached:(cache, key)] holds it), or the whole page with
+    notes a/b when the template is poor; then the notes and the template
+    size (0 when there was nothing to induce from). *)
+
+val observe_detail : Observation.builder -> Token.t array -> unit
+(** Match one detail page into the observation table under construction,
+    timed as [pipeline.extract]. The tokens are not retained. *)
+
+val finish_observation :
+  other_lists:Matching.detail_index list -> Observation.builder -> Observation.t
+(** {!Tabseg_extract.Observation.finish}, timed as [pipeline.extract]. *)
+
 val prepare : ?config:config -> ?template_cache:template_cache -> input -> prepared
-(** Run the front half. With [~template_cache], template induction is
+(** Run the front half: tokenize the list pages, {!locate}, then tokenize
+    and {!observe_detail} one detail page at a time, dropping each one's
+    tokens before the next. With [~template_cache], template induction is
     skipped when the cache already holds the template of this list-page
     set; the result is identical either way.
     @raise Invalid_argument if [list_pages] is empty. *)

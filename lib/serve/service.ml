@@ -64,7 +64,6 @@ type t = {
   request_seconds : Metrics.histogram;
   stream_requests : Metrics.counter;
   ttfr_seconds : Metrics.histogram;
-  stream_live_tokens : Metrics.gauge;
   queue_depth : Metrics.gauge;
   queue_capacity : Metrics.gauge;
   queue_inflight : Metrics.gauge;
@@ -108,7 +107,6 @@ let create ?(config = default_config) () =
     stream_requests = Metrics.counter registry "stream.requests";
     ttfr_seconds =
       Metrics.histogram registry "stream.time_to_first_record_seconds";
-    stream_live_tokens = Metrics.gauge registry "stream.live_tokens";
     queue_depth = Metrics.gauge registry "pool.queue_depth";
     queue_capacity = Metrics.gauge registry "pool.queue_capacity";
     queue_inflight = Metrics.gauge registry "pool.inflight";
@@ -121,7 +119,8 @@ let cache_stats t = Option.map Cache.stats t.cache
 let store_stats t = Option.map Store.stats t.store
 let pool_stats t = Pool.stats t.pool
 
-(* One request, on a worker domain. *)
+(* One request: on a worker domain for [run_batch], on the caller's for
+   [segment_stream]. *)
 let process t (request : request) =
   let started = Unix.gettimeofday () in
   Metrics.incr t.requests_total;
@@ -237,70 +236,20 @@ let segment_one t request =
   | [ response ] -> response
   | _ -> assert false
 
-(* The streaming seam: same inputs, same outcome as [process] — proven
-   byte-identical by the stream test suite — but records reach
-   [on_record] as soon as their detail evidence is complete, on the
-   caller's domain. Cache hits replay their records through the same
-   surface, so consumers see one shape either way. *)
-let segment_stream t ?on_progress ~on_record (request : request) =
+(* One request is one unit, whose records all exist only once its whole
+   input is segmented, so streaming it is [process] followed by a replay
+   of the result's records — memo hits and misses alike. *)
+let segment_stream t ~on_record (request : request) =
   let started = Unix.gettimeofday () in
-  Metrics.incr t.requests_total;
   Metrics.incr t.stream_requests;
-  let first = ref true in
-  let emit record =
-    if !first then begin
-      first := false;
-      Metrics.observe t.ttfr_seconds (Unix.gettimeofday () -. started)
-    end;
-    on_record record
-  in
-  let finish ~cache_hit outcome =
-    let latency_s = Unix.gettimeofday () -. started in
-    Metrics.observe t.request_seconds latency_s;
-    (match outcome with
-    | Ok _ -> Metrics.incr t.requests_ok
-    | Error _ -> Metrics.incr t.requests_failed);
-    if cache_hit then Metrics.incr t.cache_hits;
-    { id = request.id; outcome; cache_hit; latency_s }
-  in
-  let key =
-    Option.map
-      (fun _ -> Cache.request_key ~method_:t.cfg.method_ request.input)
-      t.cache
-  in
-  let memoized =
-    match (t.cache, key) with
-    | Some cache, Some key -> Cache.find_result cache ~key
-    | _ -> None
-  in
-  match memoized with
-  | Some result ->
-    List.iter emit result.Tabseg.Api.segmentation.Tabseg.Segmentation.records;
-    finish ~cache_hit:true (Ok result)
-  | None ->
-    if t.cfg.simulated_fetch_s > 0. then Unix.sleepf t.cfg.simulated_fetch_s;
-    let config =
-      {
-        Tabseg_stream.Engine.default_config with
-        Tabseg_stream.Engine.method_ = t.cfg.method_;
-      }
-    in
-    let outcome, summary =
-      Tabseg_stream.Runner.stream_input ~config ?on_progress ~on_record:emit
-        request.input
-    in
-    Metrics.set t.stream_live_tokens
-      (Float.max
-         (Metrics.gauge_value t.stream_live_tokens)
-         (float_of_int summary.Tabseg_stream.Frame.live_tokens_hwm));
-    (match outcome with
-    | Ok result ->
-      (match (t.cache, key) with
-      | Some cache, Some key -> Cache.store_result cache ~key result
-      | _ -> ());
-      finish ~cache_hit:false (Ok result)
-    | Error input_error ->
-      finish ~cache_hit:false (Error (Invalid_input input_error)))
+  let response = process t request in
+  (match response.outcome with
+  | Ok { Tabseg.Api.segmentation = { Tabseg.Segmentation.records; _ }; _ }
+    when records <> [] ->
+    Metrics.observe t.ttfr_seconds (Unix.gettimeofday () -. started);
+    List.iter on_record records
+  | Ok _ | Error _ -> ());
+  response
 
 let maintenance t = Option.iter Store.refresh t.store
 

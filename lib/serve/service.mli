@@ -80,18 +80,13 @@ val segment_one : t -> request -> response
 (** [run_batch] of a singleton. *)
 
 val segment_stream :
-  t ->
-  ?on_progress:(Tabseg_stream.Frame.progress -> unit) ->
-  on_record:(Tabseg.Segmentation.record -> unit) ->
-  request ->
-  response
-(** The streaming seam beside the batch path: the request's pages run
-    through {!Tabseg_stream.Engine} on the {e caller's} domain, records
-    reach [on_record] as soon as their detail evidence is complete (cache
-    hits replay theirs immediately), and the returned response is
-    byte-identical to {!segment_one}'s (stream ≡ batch). Observes the
-    [stream.time_to_first_record_seconds] histogram and the
-    [stream.live_tokens] high-watermark gauge. *)
+  t -> on_record:(Tabseg.Segmentation.record -> unit) -> request -> response
+(** The streaming seam: {!segment_one}'s per-request path (memo, template
+    cache, store) on the {e caller's} domain, then the result's records
+    through [on_record], in order, before the identical response is
+    returned. A request is one unit, whose records exist only once its
+    whole input is segmented. Counts [stream.requests] and observes
+    [stream.time_to_first_record_seconds] when there is a record. *)
 
 val maintenance : t -> unit
 (** Periodic housekeeping between batches: {!Tabseg_store.Store.refresh}

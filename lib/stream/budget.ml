@@ -5,7 +5,7 @@
     and releases the charge as soon as the buffer is dropped. Raw pages
     buffered before the head window seals are charged at an estimated
     token count. The high watermark is the stream's memory story — the
-    [stream.live_tokens] gauge — and [cap] turns it into a hard bound. *)
+    summary's [live_tokens_hwm] — and [cap] turns it into a hard bound. *)
 
 type t = {
   cap : int option;

@@ -8,19 +8,21 @@
     {v { list_pages = unit page :: (head minus the unit page);
   detail_pages = the detail pages that followed it } v}
 
-    and the engine reproduces {!Tabseg.Api.segment_result} on that input
-    {e exactly}: the template is re-induced per unit over the sealed head
+    and the engine runs the batch pipeline's own stages
+    ({!Tabseg.Pipeline.locate}, [observe_detail], [finish_observation],
+    {!Tabseg.Api.solve}) on it, so its outcome is
+    {!Tabseg.Api.segment_result}'s by construction; only the schedule
+    differs. The template is induced per unit over the sealed head
     (induction is order-sensitive, so nothing cheaper is faithful), while
-    the expensive per-detail work — tokenize, index, match against the
-    unit's extracts — happens incrementally as each detail page arrives,
-    after which its tokens are dropped. A unit closes (its segmentation
-    runs and its records are emitted) as soon as its detail run ends: at
-    the next list page, or at [finish]. Units whose pages precede the head
-    seal buffer their raw detail pages until the seal — the only buffering
-    in the engine, bounded by the head window.
+    each detail page is tokenized and matched as it arrives, after which
+    its tokens are dropped. A unit closes (its segmentation runs and its
+    records are emitted) as soon as its detail run ends: at the next list
+    page, or at [finish]. Units whose pages precede the head seal buffer
+    their raw detail pages until the seal — the only buffering in the
+    engine, bounded by the head window.
 
     Memory: live tokens are charged to a {!Budget}; the steady state holds
-    the head pages, one unit's page and observation accumulator, and one
+    the head pages, one unit's page and observation table, and one
     transient detail page — never the whole site. *)
 
 open Tabseg_token
@@ -29,14 +31,11 @@ open Tabseg_extract
 module Api = Tabseg.Api
 module Pipeline = Tabseg.Pipeline
 module Segmentation = Tabseg.Segmentation
-module Instrument = Tabseg.Instrument
 
 type config = {
   head_window : int;  (** list pages used for template induction (k) *)
   pipeline : Pipeline.config;
   method_ : Api.method_;
-  csp_config : Tabseg.Csp_segmenter.config option;
-  prob_config : Tabseg.Prob_segmenter.config option;
   max_live_tokens : int option;  (** hard bound; {!Budget.Exceeded} beyond *)
 }
 
@@ -45,22 +44,17 @@ let default_config =
     head_window = 4;
     pipeline = Pipeline.default_config;
     method_ = Api.Probabilistic;
-    csp_config = None;
-    prob_config = None;
     max_live_tokens = None;
   }
 
-(* Post-seal per-unit state: the front half up to (and excluding) the
-   observation table, plus the incrementally accumulated observations. *)
+(* Post-seal per-unit state: the located table slot and the observation
+   table under construction. *)
 type work = {
   w_page : Token.t array;
   w_page_charge : int;  (** tokens charged for w_page (0 if owned by head) *)
-  w_table_slot : Slot.t;
-  w_template_size : int;
-  w_notes : Segmentation.note list;
+  w_located : Slot.t * Segmentation.note list * int;  (** Pipeline.locate *)
   w_other_indices : Matching.detail_index list;
-  w_extracts : Extract.t array;
-  w_acc : (int * int) list array;  (** per-extract observations, reversed *)
+  w_builder : Observation.builder;
 }
 
 type unit_state = {
@@ -114,144 +108,49 @@ let create ?(config = default_config) ~on_event () =
     finished = false;
   }
 
-let live_tokens t = Budget.live t.budget
-let live_tokens_hwm t = Budget.high_watermark t.budget
-
-(* The front half of one unit, mirroring Pipeline.prepare/locate_table
-   decision for decision — without the observation table, which is built
-   incrementally as detail pages arrive. *)
+(* The unit's front half up to its observation table, which is filled as
+   detail pages arrive. *)
 let start_work t (u : unit_state) =
   try
-    let head_size = List.length t.head_pages in
     let page, page_charge =
-      if u.u_head_pos < head_size then (List.nth t.head_pages u.u_head_pos, 0)
+      if u.u_head_pos < List.length t.head_pages then
+        (List.nth t.head_pages u.u_head_pos, 0)
       else begin
-        let tokens =
-          Instrument.time ~stage:"pipeline.tokenize" (fun () ->
-              Tokenizer.tokenize u.u_html)
-        in
+        let tokens = Pipeline.tokenize u.u_html in
         Budget.charge t.budget (Array.length tokens);
         (tokens, Array.length tokens)
       end
     in
-    let others =
-      List.filteri (fun i _ -> i <> u.u_head_pos) t.head_pages
+    let others pages = List.filteri (fun i _ -> i <> u.u_head_pos) pages in
+    let ((table_slot, _, _) as located) =
+      Pipeline.locate ~config:t.cfg.pipeline (page :: others t.head_pages)
     in
-    let other_indices =
-      List.filteri (fun i _ -> i <> u.u_head_pos) t.head_indices
-    in
-    let pages = page :: others in
-    let config = t.cfg.pipeline in
-    let located, template_size =
-      if List.length pages < 2 then (None, 0)
-      else begin
-        let template =
-          Instrument.time ~stage:"pipeline.template" (fun () ->
-              Template.induce pages)
-        in
-        let template_size = Template.size template in
-        if template_size < config.Pipeline.min_template_tokens then
-          (None, template_size)
-        else begin
-          let slots = Template.slots template page in
-          let total_words =
-            List.fold_left (fun acc slot -> acc + Slot.word_count slot) 0 slots
-          in
-          match Slot.table_slot slots with
-          | None -> (None, template_size)
-          | Some slot ->
-            let cover =
-              if total_words = 0 then 0.
-              else
-                float_of_int (Slot.word_count slot)
-                /. float_of_int total_words
-            in
-            if cover < config.Pipeline.min_slot_cover then
-              (None, template_size)
-            else (Some slot, template_size)
-        end
-      end
-    in
-    let table_slot, notes =
-      match located with
-      | Some slot -> (slot, [])
-      | None ->
-        ( Slot.whole_page page,
-          [ Segmentation.Template_problem; Segmentation.Entire_page_used ] )
-    in
-    let extracts = Array.of_list (Extract.of_slot table_slot) in
     u.u_work <-
       Some
         {
           w_page = page;
           w_page_charge = page_charge;
-          w_table_slot = table_slot;
-          w_template_size = template_size;
-          w_notes = notes;
-          w_other_indices = other_indices;
-          w_extracts = extracts;
-          w_acc = Array.make (Array.length extracts) [];
+          w_located = located;
+          w_other_indices = others t.head_indices;
+          w_builder = Observation.start (Extract.of_slot table_slot);
         }
   with Invalid_argument message -> u.u_failed <- Some message
 
 (* One detail page through the unit's matcher; its tokens live only for
    the duration of this call. *)
 let process_detail t (u : unit_state) html =
-  let page_index = u.u_count in
   u.u_count <- u.u_count + 1;
   if String.trim html <> "" then u.u_nonblank <- true;
   match (u.u_work, u.u_failed) with
   | Some w, None -> begin
     try
-      let tokens =
-        Instrument.time ~stage:"pipeline.tokenize" (fun () ->
-            Tokenizer.tokenize html)
-      in
+      let tokens = Pipeline.tokenize html in
       Budget.charge t.budget (Array.length tokens);
-      let index = Matching.index_detail tokens in
-      Array.iteri
-        (fun i (extract : Extract.t) ->
-          let occurrences =
-            Matching.occurrences index extract.Extract.words
-          in
-          w.w_acc.(i) <-
-            List.rev_append
-              (List.map (fun pos -> (page_index, pos)) occurrences)
-              w.w_acc.(i))
-        w.w_extracts;
+      Pipeline.observe_detail w.w_builder tokens;
       Budget.release t.budget (Array.length tokens)
     with Invalid_argument message -> u.u_failed <- Some message
   end
   | _ -> ()
-
-(* Reproduces Observation.build from the accumulated per-detail matches:
-   same entry order, same position order, same uninformative filter. *)
-let finalize_observation (u : unit_state) (w : work) =
-  let num_details = u.u_count in
-  let entries = ref [] and extras = ref [] in
-  Array.iteri
-    (fun i (extract : Extract.t) ->
-      let positions = List.rev w.w_acc.(i) in
-      let pages = List.sort_uniq compare (List.map fst positions) in
-      let on_all_other_lists =
-        w.w_other_indices <> []
-        && List.for_all
-             (fun index -> Matching.contains index extract.Extract.words)
-             w.w_other_indices
-      in
-      let uninformative =
-        pages = []
-        || List.length pages = num_details
-        || on_all_other_lists
-      in
-      if uninformative then extras := extract :: !extras
-      else entries := { Observation.extract; pages; positions } :: !entries)
-    w.w_extracts;
-  {
-    Observation.entries = Array.of_list (List.rev !entries);
-    extras = List.rev !extras;
-    num_details;
-  }
 
 (* Close a unit: validate exactly as Api.segment_result does, run the
    method's segmenter on the assembled prepared value, emit the records
@@ -267,31 +166,15 @@ let close_unit t (u : unit_state) =
       | None, None -> Error (Api.Pipeline_failure "stream unit never started")
       | None, Some w -> begin
         try
+          let table_slot, notes, template_size = w.w_located in
           let observation =
-            Instrument.time ~stage:"pipeline.extract" (fun () ->
-                finalize_observation u w)
+            Pipeline.finish_observation ~other_lists:w.w_other_indices
+              w.w_builder
           in
-          let prepared =
-            {
-              Pipeline.page = w.w_page;
-              table_slot = w.w_table_slot;
-              observation;
-              notes = w.w_notes;
-              template_size = w.w_template_size;
-            }
-          in
-          match t.cfg.method_ with
-          | Api.Csp ->
-            let segmentation =
-              Tabseg.Csp_segmenter.segment ?config:t.cfg.csp_config prepared
-            in
-            Ok { Api.segmentation; prepared; diagnostics = None }
-          | Api.Probabilistic ->
-            let segmentation, diagnostics =
-              Tabseg.Prob_segmenter.segment ?config:t.cfg.prob_config
-                prepared
-            in
-            Ok { Api.segmentation; prepared; diagnostics = Some diagnostics }
+          Ok
+            (Api.solve ~method_:t.cfg.method_
+               { Pipeline.page = w.w_page; table_slot; observation; notes;
+                 template_size })
         with Invalid_argument message -> Error (Api.Pipeline_failure message)
       end
     end
@@ -370,10 +253,7 @@ let feed_list_page t ?(segment = false) html =
   let pos = t.list_seen in
   t.list_seen <- pos + 1;
   if not t.sealed then begin
-    let tokens =
-      Instrument.time ~stage:"pipeline.tokenize" (fun () ->
-          Tokenizer.tokenize html)
-    in
+    let tokens = Pipeline.tokenize html in
     Budget.charge t.budget (Array.length tokens);
     t.head_charge <- t.head_charge + Array.length tokens;
     t.head_rev <- tokens :: t.head_rev;

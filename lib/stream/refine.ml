@@ -1,7 +1,7 @@
 (** Incremental page-template estimation over the head window.
 
-    {!Tabseg_template.Template.induce} is order-sensitive and runs once per
-    unit over the sealed head window; this module is the {e live} estimate
+    Template induction is order-sensitive and runs once per unit over the
+    sealed head window; this module is the {e live} estimate
     that narrows monotonically as head pages arrive, so a consumer can
     watch the template converge before the first unit closes. The estimate
     exploits the structure of the batch filter: a key is base-eligible only

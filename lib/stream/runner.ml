@@ -81,8 +81,6 @@ let batch_reference ?(config = Engine.default_config) pages =
   List.map
     (fun input ->
       Api.segment_result ~pipeline_config:config.Engine.pipeline
-        ?csp_config:config.Engine.csp_config
-        ?prob_config:config.Engine.prob_config
         ~method_:config.Engine.method_ input)
     (unit_inputs ~head_window:config.Engine.head_window pages)
 
@@ -96,9 +94,9 @@ let outcome_digest (outcome : (Api.result, Api.input_error) result) =
          "digest input only — never decoded, never crosses a trust \
           boundary"]))
 
-(* Stream a single batch input (the Service seam): one unit, records
-   through [on_record], terminal outcome identical to Api.segment_result. *)
-let stream_input ?(config = Engine.default_config) ?on_progress ~on_record
+(* Stream a single batch input: one unit, records through [on_record],
+   terminal outcome identical to Api.segment_result. *)
+let stream_input ?(config = Engine.default_config) ~on_record
     (input : Pipeline.input) =
   let head_window = max 1 (List.length input.Pipeline.list_pages) in
   let config = { config with Engine.head_window } in
@@ -106,8 +104,7 @@ let stream_input ?(config = Engine.default_config) ?on_progress ~on_record
   let on_event = function
     | Frame.Record { record; _ } -> on_record record
     | Frame.Unit_done { outcome = terminal; _ } -> outcome := Some terminal
-    | Frame.Template_refined progress ->
-      Option.iter (fun f -> f progress) on_progress
+    | Frame.Template_refined _ -> ()
   in
   let summary = run ~config ~on_event (Source.of_input input) in
   let outcome =

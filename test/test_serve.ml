@@ -346,6 +346,68 @@ let test_service_metrics_flow () =
   check_bool "json dump mentions the counters" true
     (contains json {|"requests.total"|})
 
+(* The stream seam: a cold miss, a memo hit and an invalid request each
+   answer exactly as segment_one does, and on_record sees exactly the
+   result's records, in order. *)
+let test_segment_stream_seam () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  let blank =
+    {
+      request with
+      Service.id = "blank";
+      input =
+        { request.Service.input with Tabseg.Pipeline.list_pages = [ " " ] };
+    }
+  in
+  let service = Service.create () and reference = Service.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.shutdown service;
+      Service.shutdown reference)
+  @@ fun () ->
+  let stream label (request : Service.request) =
+    let streamed = ref [] in
+    let response =
+      Service.segment_stream service
+        ~on_record:(fun record -> streamed := record :: !streamed)
+        request
+    in
+    check_string (label ^ ": response = segment_one's")
+      (render_response (Service.segment_one reference request))
+      (render_response response);
+    (response, List.rev !streamed)
+  in
+  List.iter
+    (fun (label, cache_hit) ->
+      let response, streamed = stream label request in
+      check_bool (label ^ ": cache hit") cache_hit response.Service.cache_hit;
+      match response.Service.outcome with
+      | Ok result ->
+        let records =
+          result.Tabseg.Api.segmentation.Tabseg.Segmentation.records
+        in
+        check_bool (label ^ ": has records") true (records <> []);
+        check_bool (label ^ ": on_record saw the records, in order") true
+          (streamed = records)
+      | Error error -> Alcotest.fail (Service.error_message error))
+    [ ("miss", false); ("hit", true) ];
+  (match stream "blank" blank with
+  | ( {
+        Service.outcome =
+          Error (Service.Invalid_input Tabseg.Api.Blank_list_page);
+        _;
+      },
+      [] ) ->
+    ()
+  | _ -> Alcotest.fail "blank list page: Invalid_input and no record");
+  let registry = Service.metrics service in
+  check_int "stream.requests" 3
+    (Metrics.counter_value (Metrics.counter registry "stream.requests"));
+  check_int "time to first record, once per valid request" 2
+    (Metrics.summary
+       (Metrics.histogram registry "stream.time_to_first_record_seconds"))
+      .Metrics.count
+
 (* A minimal RFC 8259 string-literal parser: enough to prove that what
    [Metrics.json_string] emits decodes back to the original bytes. *)
 let json_unescape literal =
@@ -450,6 +512,8 @@ let () =
             test_metrics_histogram_percentiles;
           Alcotest.test_case "service threads metrics" `Quick
             test_service_metrics_flow;
+          Alcotest.test_case "stream seam = segment_one, records replayed"
+            `Quick test_segment_stream_seam;
           Alcotest.test_case "hostile label survives json escaping" `Quick
             test_json_string_hostile_label;
         ] );
