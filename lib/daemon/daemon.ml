@@ -86,6 +86,17 @@ type t = {
 }
 
 let now () = Unix.gettimeofday ()
+
+(* Token comparison without an early exit: the time depends only on the
+   two lengths (both capped by the Hello size gate), never on how long a
+   guessed prefix of the secret is right. *)
+let constant_time_equal a b =
+  let diff = ref (String.length a lxor String.length b) in
+  for i = 0 to min (String.length a) (String.length b) - 1 do
+    diff := !diff lor (Char.code a.[i] lxor Char.code b.[i])
+  done;
+  !diff = 0
+
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let resolve_host host =
@@ -320,7 +331,8 @@ let handle_message t conn message =
       let authorized =
         match t.cfg.auth_token with
         | None -> true
-        | Some expected -> token = Some expected
+        | Some expected ->
+          Option.fold ~none:false ~some:(constant_time_equal expected) token
       in
       if not authorized then begin
         Metrics.incr t.m_rejected;

@@ -157,11 +157,14 @@ let test_auth_token () =
     check_string "reason names the token" "bad auth token" reason
   | Ok _ -> Alcotest.fail "tokenless handshake must be rejected"
   | Error e -> Alcotest.fail (Client.connect_error_message e));
-  (* Wrong token: same rejection. *)
-  (match Client.connect ~auth_token:"hunter3" handle.Daemon.address with
-  | Error (Client.Rejected _) -> ()
-  | Ok _ -> Alcotest.fail "wrong token must be rejected"
-  | _ -> Alcotest.fail "wrong token: expected Rejected");
+  (* Wrong token, a prefix of it, an extension of it: same rejection. *)
+  List.iter
+    (fun wrong ->
+      match Client.connect ~auth_token:wrong handle.Daemon.address with
+      | Error (Client.Rejected _) -> ()
+      | Ok _ -> Alcotest.failf "token %S must be rejected" wrong
+      | _ -> Alcotest.failf "token %S: expected Rejected" wrong)
+    [ "hunter3"; "hunter"; "hunter22" ];
   (* Right token: handshake completes and work flows. *)
   let client = connect_exn ~auth_token:"hunter2" handle.Daemon.address in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
