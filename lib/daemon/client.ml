@@ -1,19 +1,21 @@
 module Wire = Tabseg_gateway.Wire
+module Conn = Tabseg_gateway.Conn
 module Service = Tabseg_serve.Service
+
+type error =
+  | Connection_closed
+  | Protocol_failure of string
 
 type t = {
   fd : Unix.file_descr;
-  mutable buf : string;  (* unparsed inbound prefix *)
-  mutable off : int;
+  conn : unit Conn.t;  (* the inbound frame reader; writes stay direct *)
+  inbox : string Queue.t;  (* payloads read ahead of the one asked for *)
+  mutable broken : error option;  (* how the stream ended, once it has *)
   mutable next_seq : int;
   mutable srv_window : int;
   mutable srv_pid : int;
   mutable closed : bool;
 }
-
-type error =
-  | Connection_closed
-  | Protocol_failure of string
 
 let error_message = function
   | Connection_closed -> "connection closed by the server"
@@ -45,32 +47,27 @@ let write_frame t frame =
   in
   go 0
 
+(* One read through the blocking descriptor can deliver several frames
+   (pipelined replies, stream records): queue them and hand them out one
+   per call, then report how the stream ended, if it has. *)
 let rec read_message t =
-  match Wire.decode_frame ~off:t.off t.buf with
-  | `Error e -> Error (Protocol_failure (Wire.decode_error_message e))
-  | `Frame (payload, next) -> (
-    t.off <- next;
-    if t.off = String.length t.buf then begin
-      t.buf <- "";
-      t.off <- 0
-    end;
+  match Queue.take_opt t.inbox with
+  | Some payload -> (
     match Protocol.decode_payload payload with
     | Ok message -> Ok message
     | Error why -> Error (Protocol_failure why))
-  | `Need_more -> (
-    let chunk = Bytes.create 65536 in
-    match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Error Connection_closed
-    | n ->
-      if t.off > 0 then begin
-        t.buf <- String.sub t.buf t.off (String.length t.buf - t.off);
-        t.off <- 0
-      end;
-      t.buf <- t.buf ^ Bytes.sub_string chunk 0 n;
-      read_message t
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_message t
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-      Error Connection_closed)
+  | None -> (
+    match t.broken with
+    | Some e -> Error e
+    | None ->
+      let { Conn.frames; closed; _ } = Conn.read_step t.conn in
+      List.iter (fun payload -> Queue.push payload t.inbox) frames;
+      (match closed with
+      | None -> ()
+      | Some (Conn.Eof | Conn.Reset) -> t.broken <- Some Connection_closed
+      | Some (Conn.Protocol e) ->
+        t.broken <- Some (Protocol_failure (Wire.decode_error_message e)));
+      read_message t)
 
 let connect ?(client = "client") ?auth_token address =
   (* A server hanging up between our read and our next write must come
@@ -108,8 +105,9 @@ let connect ?(client = "client") ?auth_token address =
       let t =
         {
           fd;
-          buf = "";
-          off = 0;
+          conn = Conn.create fd;
+          inbox = Queue.create ();
+          broken = None;
           next_seq = 0;
           srv_window = 1;
           srv_pid = 0;

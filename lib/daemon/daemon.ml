@@ -437,8 +437,10 @@ let handle_message t conn message =
       protocol_error t conn
 
 let read_conn t conn =
-  let { Conn.frames; closed } = Conn.read_step conn.k_chan in
-  if frames <> [] then conn.k_last_in <- now ();
+  let { Conn.frames; bytes_read; closed } = Conn.read_step conn.k_chan in
+  (* Any inbound byte counts, not only a whole frame: a client still
+     uploading a large request is not idle. *)
+  if bytes_read > 0 then conn.k_last_in <- now ();
   List.iter
     (fun payload ->
       if not conn.k_closed then

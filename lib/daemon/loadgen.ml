@@ -447,7 +447,7 @@ let run cfg =
                   (not conn.l_dead)
                   && List.mem (Conn.fd conn.l_chan) readable
                 then begin
-                  let { Conn.frames; closed } = Conn.read_step conn.l_chan in
+                  let { Conn.frames; closed; _ } = Conn.read_step conn.l_chan in
                   List.iter
                     (fun payload ->
                       if not conn.l_dead then

@@ -1,12 +1,22 @@
 type 'tag t = {
   fd : Unix.file_descr;
-  mutable in_buf : string;  (* unparsed stream prefix, from [in_off] *)
+  mutable in_buf : bytes;  (* inbound bytes; unparsed: [in_off, in_end) *)
   mutable in_off : int;
+  mutable in_end : int;
   outbox : (string * 'tag option) Queue.t;
   mutable head_off : int;  (* bytes of the head frame already written *)
 }
 
-let create fd = { fd; in_buf = ""; in_off = 0; outbox = Queue.create (); head_off = 0 }
+let create fd =
+  {
+    fd;
+    in_buf = Bytes.empty;
+    in_off = 0;
+    in_end = 0;
+    outbox = Queue.create ();
+    head_off = 0;
+  }
+
 let fd t = t.fd
 let send ?tag t frame = Queue.push (frame, tag) t.outbox
 let pending_output t = not (Queue.is_empty t.outbox)
@@ -23,46 +33,73 @@ let close_reason_message = function
 
 type read_result = {
   frames : string list;
+  bytes_read : int;
   closed : close_reason option;
 }
 
-(* Don't let the consumed prefix of a long-lived buffer pin memory:
-   once the parse offset passes this, copy the live tail down. *)
-let compact_threshold = 1 lsl 16
+(* One read asks for at most this much — also the most [Unix.read]
+   moves per call — and a drained buffer up to this size is kept. *)
+let read_size = 1 lsl 16
 
-let compact t =
-  if t.in_off = String.length t.in_buf then begin
-    t.in_buf <- "";
-    t.in_off <- 0
+(* Make room at the buffer's tail for the next read. Unparsed bytes are
+   at most one partial frame, so sliding them down copies each byte at
+   most once (it leaves [in_off = 0] until that frame is consumed), and
+   growth doubles: a frame of n bytes costs O(n) copying however many
+   reads deliver it. Growth stops at the end of a frame whose header
+   has passed its checks; the buffer grows with the bytes that arrived,
+   never to what a header merely claims. *)
+let reserve t =
+  let cap = Bytes.length t.in_buf in
+  let live = t.in_end - t.in_off in
+  if t.in_off > 0 && cap - t.in_end < read_size then begin
+    Bytes.blit t.in_buf t.in_off t.in_buf 0 live;
+    t.in_off <- 0;
+    t.in_end <- live
   end
-  else if t.in_off > compact_threshold then begin
-    t.in_buf <-
-      String.sub t.in_buf t.in_off (String.length t.in_buf - t.in_off);
-    t.in_off <- 0
+  else if t.in_end = cap then begin
+    (* full, and [in_off = 0]: the buffer holds one partial frame *)
+    let grown = max read_size (2 * cap) in
+    let grown =
+      match Wire.frame_size (Bytes.unsafe_to_string t.in_buf) with
+      | Some size when size > cap -> min grown size
+      | _ -> grown
+    in
+    let buf = Bytes.create grown in
+    Bytes.blit t.in_buf 0 buf 0 live;
+    t.in_buf <- buf
   end
 
+(* Decode in place from the live region; the payloads are the only
+   copies. A drained buffer restarts at offset 0, and one grown past
+   [read_size] for a large frame is dropped. *)
 let rec drain_frames t acc =
-  match Wire.decode_frame ~off:t.in_off t.in_buf with
+  match
+    Wire.decode_frame ~off:t.in_off ~stop:t.in_end
+      (Bytes.unsafe_to_string t.in_buf)
+  with
   | `Need_more ->
-    compact t;
-    { frames = List.rev acc; closed = None }
-  | `Error e -> { frames = List.rev acc; closed = Some (Protocol e) }
+    if t.in_off = t.in_end then begin
+      t.in_off <- 0;
+      t.in_end <- 0;
+      if Bytes.length t.in_buf > read_size then t.in_buf <- Bytes.empty
+    end;
+    (List.rev acc, None)
+  | `Error e -> (List.rev acc, Some (Protocol e))
   | `Frame (payload, next) ->
     t.in_off <- next;
     drain_frames t (payload :: acc)
 
 let read_step t =
-  let chunk = Bytes.create 65536 in
-  match Wire.read_nonblock t.fd chunk 0 (Bytes.length chunk) with
-  | `Retry -> { frames = []; closed = None }
-  | `Eof -> { frames = []; closed = Some Eof }
-  | `Broken -> { frames = []; closed = Some Reset }
+  reserve t;
+  let room = min read_size (Bytes.length t.in_buf - t.in_end) in
+  match Wire.read_nonblock t.fd t.in_buf t.in_end room with
+  | `Retry -> { frames = []; bytes_read = 0; closed = None }
+  | `Eof -> { frames = []; bytes_read = 0; closed = Some Eof }
+  | `Broken -> { frames = []; bytes_read = 0; closed = Some Reset }
   | `Data n ->
-    (* One copy to append; the incremental decoder then consumes by
-       offset so a burst of frames costs one slide, not one per frame. *)
-    (if t.in_off > 0 then compact t);
-    t.in_buf <- t.in_buf ^ Bytes.sub_string chunk 0 n;
-    drain_frames t []
+    t.in_end <- t.in_end + n;
+    let frames, closed = drain_frames t [] in
+    { frames; bytes_read = n; closed }
 
 let write_step t =
   let sent = ref [] in

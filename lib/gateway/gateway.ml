@@ -696,7 +696,7 @@ let handle_message t forked slot conn = function
    framing accepted but [Marshal] rejects is the same betrayal as a bad
    CRC — the stream has no resync, so the worker is declared dead. *)
 let read_step t forked slot conn =
-  let { Conn.frames; closed } = Conn.read_step conn.c_chan in
+  let { Conn.frames; closed; _ } = Conn.read_step conn.c_chan in
   let dead = ref None in
   List.iter
     (fun payload ->

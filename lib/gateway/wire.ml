@@ -1,4 +1,5 @@
 module Service = Tabseg_serve.Service
+module Crc32 = Tabseg_store.Crc32
 
 (* v2: Hello reports the worker's static capacity (jobs, pool queue
    capacity) and Pong carries a live load report (pool inflight and
@@ -60,24 +61,6 @@ let decode_error_message = function
     Printf.sprintf "frame length %d exceeds max_payload %d" len max_payload
   | Bad_payload e -> "frame payload failed to unmarshal: " ^ e
 
-(* Same polynomial and table construction as the store's segment log. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_string s off len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xffffffff
-
 let u32 s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
@@ -97,30 +80,46 @@ let frame_payload payload =
   let frame = Bytes.create (header_size + len) in
   Bytes.blit_string magic 0 frame 0 4;
   set_u32 frame 4 protocol_version;
-  set_u32 frame 8 (crc32_string payload 0 len);
+  set_u32 frame 8 (Crc32.string payload 0 len);
   set_u32 frame 12 len;
   Bytes.blit_string payload 0 frame header_size len;
   Bytes.unsafe_to_string frame
 
-let decode_frame ?(off = 0) buffer =
-  let available = String.length buffer - off in
-  if available < header_size then `Need_more
-  else if String.sub buffer off 4 <> magic then `Error Bad_magic
+let magic_word = u32 magic 0
+
+(* The payload length a complete header at [off] announces, once its
+   magic, version and length cap have checked out. *)
+let header_length buffer off =
+  if u32 buffer off <> magic_word then Error Bad_magic
   else begin
     let version = u32 buffer (off + 4) in
-    if version <> protocol_version then `Error (Bad_version version)
+    if version <> protocol_version then Error (Bad_version version)
     else begin
-      let crc = u32 buffer (off + 8) in
       let len = u32 buffer (off + 12) in
-      if len > max_payload then `Error (Frame_too_large len)
-      else if available < header_size + len then `Need_more
-      else if crc32_string buffer (off + header_size) len <> crc then
-        `Error Bad_crc
+      if len > max_payload then Error (Frame_too_large len) else Ok len
+    end
+  end
+
+let decode_frame ?(off = 0) ?stop buffer =
+  let available = Option.value stop ~default:(String.length buffer) - off in
+  if available < header_size then `Need_more
+  else
+    match header_length buffer off with
+    | Error e -> `Error e
+    | Ok len when available < header_size + len -> `Need_more
+    | Ok len ->
+      if Crc32.string buffer (off + header_size) len <> u32 buffer (off + 8)
+      then `Error Bad_crc
       else
         `Frame (String.sub buffer (off + header_size) len,
                 off + header_size + len)
-    end
-  end
+
+let frame_size buffer =
+  if String.length buffer < header_size then None
+  else
+    match header_length buffer 0 with
+    | Ok len -> Some (header_size + len)
+    | Error _ -> None
 
 let encode message = frame_payload (Marshal.to_string message [])
 
@@ -165,7 +164,7 @@ let read_message fd =
           let payload = Bytes.create len in
           really_read fd payload 0 len;
           let payload = Bytes.unsafe_to_string payload in
-          if crc32_string payload 0 len <> crc then Error (`Decode Bad_crc)
+          if Crc32.string payload 0 len <> crc then Error (`Decode Bad_crc)
           else
             match Marshal.from_string payload 0 with
             | message -> Ok message

@@ -6,7 +6,8 @@
 
     {v "TSGW" + u32be version + u32be crc + u32be length + payload v}
 
-    where the CRC covers exactly the payload bytes. The payload is the
+    where the CRC covers exactly the payload bytes. It is
+    {!Tabseg_store.Crc32}, the store's own checksum. The payload is the
     marshalled {!message} (pure data only — requests and responses are
     records of strings and variants, never closures). Unlike the store's
     segment scan there is {e no resync}: a socket either delivers intact
@@ -100,12 +101,20 @@ val frame_payload : string -> string
 
 val decode_frame :
   ?off:int ->
+  ?stop:int ->
   string ->
   [ `Frame of string * int | `Need_more | `Error of decode_error ]
-(** Try to parse one frame starting at [off] (default 0).
+(** Try to parse one frame from the bytes [\[off, stop)] of the buffer
+    ([off] defaults to 0, [stop] to its length).
     [`Frame (payload, n)] also returns the offset just past the frame,
-    for the next call; [`Need_more] means the buffer holds only a frame
+    for the next call; [`Need_more] means the bytes hold only a frame
     prefix. Never inspects the payload bytes beyond the CRC. *)
+
+val frame_size : string -> int option
+(** [Some n] when the buffer starts with a whole header that passes
+    {!decode_frame}'s checks (magic, version, {!max_payload}): [n] is
+    the size, header included, of the frame it announces. [None] for a
+    short or failing header. *)
 
 val encode : message -> string
 (** One complete frame carrying a marshalled {!message}, ready to

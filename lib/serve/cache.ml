@@ -184,19 +184,18 @@ let template_cache t =
         l2_store t ~prefix:"T:" ~encode:Codec.encode_template key template);
   }
 
+(* MD5 of "<len>:<bytes>" for the tag, the method and each list page,
+   then "|", then each detail page — built by one exact-size concat. *)
 let request_key ?(tag = "") ~method_ (input : Tabseg.Pipeline.input) =
-  let buffer = Buffer.create 4096 in
-  let frame s =
-    Buffer.add_string buffer (string_of_int (String.length s));
-    Buffer.add_char buffer ':';
-    Buffer.add_string buffer s
+  let frame s rest = string_of_int (String.length s) :: ":" :: s :: rest in
+  let frames pages rest = List.fold_right frame pages rest in
+  let parts =
+    frame tag
+      (frame (Tabseg.Api.method_name method_)
+         (frames input.Tabseg.Pipeline.list_pages
+            ("|" :: frames input.Tabseg.Pipeline.detail_pages [])))
   in
-  frame tag;
-  frame (Tabseg.Api.method_name method_);
-  List.iter frame input.Tabseg.Pipeline.list_pages;
-  Buffer.add_char buffer '|';
-  List.iter frame input.Tabseg.Pipeline.detail_pages;
-  Digest.to_hex (Digest.string (Buffer.contents buffer))
+  Digest.to_hex (Digest.string (String.concat "" parts))
 
 let find_result t ~key =
   match Shard.find t.results key with

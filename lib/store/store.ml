@@ -6,9 +6,10 @@
      record*   "TSRC" + u32be crc + u32be klen + u32be vlen
                + key + value                            (16 + klen + vlen)
 
-   The CRC covers everything from klen to the end of the value, so a
-   record is either intact or detectably damaged; the magic gives scan a
-   frame to resynchronise on after damage. *)
+   The CRC ({!Crc32}, shared with the gateway's wire frames) covers
+   everything from klen to the end of the value, so a record is either
+   intact or detectably damaged; the magic gives scan a frame to
+   resynchronise on after damage. *)
 
 module Lockcheck = Tabseg_lockcheck.Lockcheck
 
@@ -47,26 +48,6 @@ let offload_counter = Atomic.make 0
    record — scan uses the bounds to reject garbage lengths quickly. *)
 let max_klen = 1 lsl 20
 let max_vlen = 1 lsl 30
-
-(* ------------------------------ CRC-32 ------------------------------ *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 bytes off len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.get bytes i)) land 0xff)
-         lxor (!c lsr 8)
-  done;
-  !c lxor 0xffffffff
 
 (* --------------------------- small helpers -------------------------- *)
 
@@ -117,7 +98,7 @@ let encode_record ~key ~value =
   set_u32 bytes 12 vlen;
   Bytes.blit_string key 0 bytes record_header klen;
   Bytes.blit_string value 0 bytes (record_header + klen) vlen;
-  set_u32 bytes 4 (crc32 bytes 8 (8 + klen + vlen));
+  set_u32 bytes 4 (Crc32.bytes bytes 8 (8 + klen + vlen));
   bytes
 
 let encode_header () =
@@ -235,7 +216,7 @@ let iter_region buf ~f =
       let vlen = u32 buf (pos + 12) in
       if klen > max_klen || vlen > max_vlen then None
       else if pos + record_header + klen + vlen > len then None
-      else if crc32 buf (pos + 8) (8 + klen + vlen) <> crc then None
+      else if Crc32.bytes buf (pos + 8) (8 + klen + vlen) <> crc then None
       else Some (klen, vlen)
     end
   in
@@ -358,7 +339,7 @@ let compact_locked t =
           match read_exact t.fd ~off:e.e_off ~len:(entry_size e) with
           | exception _ -> t.s_corrupt_dropped <- t.s_corrupt_dropped + 1
           | buf ->
-            if crc32 buf 8 (8 + e.e_klen + e.e_vlen) <> u32 buf 4 then
+            if Crc32.bytes buf 8 (8 + e.e_klen + e.e_vlen) <> u32 buf 4 then
               t.s_corrupt_dropped <- t.s_corrupt_dropped + 1
             else begin
               write_exact tmp_fd ~off:!off buf;
@@ -654,7 +635,7 @@ let get t key =
         Bytes.sub_string buf 0 4 = record_magic
         && u32 buf 8 = e.e_klen
         && u32 buf 12 = e.e_vlen
-        && crc32 buf 8 (8 + e.e_klen + e.e_vlen) = u32 buf 4
+        && Crc32.bytes buf 8 (8 + e.e_klen + e.e_vlen) = u32 buf 4
         && Bytes.sub_string buf record_header e.e_klen = key
       in
       if intact then begin

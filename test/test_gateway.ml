@@ -1,5 +1,7 @@
 (* The multi-process gateway: wire-frame integrity (roundtrip, CRC
-   damage, version skew as typed decode errors), byte-identity of the
+   damage, version skew as typed decode errors, pinned frame bytes),
+   the connection reader (frames cut anywhere, linear-time buffering of
+   a large frame, no allocation on a header's claim), byte-identity of the
    procs=2 merge against the sequential reference, in-order merge under
    adversarial per-worker latency skew, worker-crash recovery via a
    single re-dispatch, permanent worker loss as a typed error, deadline
@@ -196,6 +198,110 @@ let test_wire_forged_length () =
         check_int "claimed length reported" claimed len
       | Ok _ -> Alcotest.fail "forged length read as a message"
       | Error _ -> Alcotest.fail "wrong error for a forged length")
+
+(* One frame's bytes, pinned: the header layout and the checksum are
+   what peers running an older build check. *)
+let test_wire_frame_bytes () =
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  let frame = Wire.frame_payload "123456789" in
+  check_int "header + payload" 25 (String.length frame);
+  check_string "header: magic, version 4, CRC-32, length"
+    "5453475700000004cbf4392600000009" (hex (String.sub frame 0 16));
+  check_string "payload follows" "123456789" (String.sub frame 16 9)
+
+(* ------------------------- connection reader ------------------------ *)
+
+let with_socketpair f =
+  let w, r = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close w with Unix.Unix_error _ -> ());
+      try Unix.close r with Unix.Unix_error _ -> ())
+    (fun () -> f w r)
+
+(* Write [stream] in pieces of [piece ()] bytes (at most 64 KB, so the
+   socket never fills), reading through one nonblocking [Conn] after
+   each piece until the socket is empty. Returns the payloads read. *)
+let pump ~piece stream =
+  with_socketpair @@ fun w r ->
+  Unix.set_nonblock r;
+  let conn = Conn.create r in
+  let got = ref [] in
+  let rec drain () =
+    let { Conn.frames; bytes_read; closed } = Conn.read_step conn in
+    got := List.rev_append frames !got;
+    (match closed with
+    | Some reason -> Alcotest.fail (Conn.close_reason_message reason)
+    | None -> ());
+    if bytes_read > 0 then drain ()
+  in
+  let len = String.length stream in
+  let rec go off =
+    if off < len then begin
+      let n = min (min (piece ()) 65536) (len - off) in
+      let written = Unix.write_substring w stream off n in
+      drain ();
+      go (off + written)
+    end
+  in
+  go 0;
+  List.rev !got
+
+(* Frames from empty to several times the read size, cut anywhere:
+   every slide, growth and drop path of the buffer, and every frame
+   comes out whole and in order. *)
+let test_conn_frames_cut_anywhere () =
+  let st = Random.State.make [| 14 |] in
+  let payloads =
+    List.map
+      (fun size -> String.init size (fun _ -> Char.chr (Random.State.int st 256)))
+      [ 0; 1; 7; 100; 9_000; 70_000; 3; 65_520; 65_536; 200_000; 12_500; 5 ]
+  in
+  let stream = String.concat "" (List.map Wire.frame_payload payloads) in
+  List.iter
+    (fun bound ->
+      let got =
+        pump ~piece:(fun () -> 1 + Random.State.int st bound) stream
+      in
+      check_int
+        (Printf.sprintf "frame count, pieces up to %d bytes" bound)
+        (List.length payloads) (List.length got);
+      check_bool
+        (Printf.sprintf "payloads intact and in order, pieces up to %d bytes"
+           bound)
+        true (got = payloads))
+    [ 64; 4_096; 65_536 ]
+
+(* A large frame arriving in 64 KB reads is copied O(1) times, not once
+   per read: allocation stays a small multiple of the frame. *)
+let test_conn_large_frame_linear () =
+  let payload = String.init (4 lsl 20) (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let frame = Wire.frame_payload payload in
+  let before = Gc.allocated_bytes () in
+  let got = pump ~piece:(fun () -> 65536) frame in
+  let ratio =
+    (Gc.allocated_bytes () -. before) /. float_of_int (String.length frame)
+  in
+  (match got with
+  | [ p ] -> check_bool "payload intact" true (p = payload)
+  | _ -> Alcotest.fail "expected exactly one frame");
+  check_bool
+    (Printf.sprintf "allocated %.1fx the frame (must be < 8x)" ratio)
+    true (ratio < 8.)
+
+(* A header is only a claim: the buffer grows with the bytes that
+   arrived, not to the length a header announces. *)
+let test_conn_header_claim_not_allocated () =
+  let claim = forged_header Wire.max_payload ^ "ten bytes." in
+  let before = Gc.allocated_bytes () in
+  let got = pump ~piece:(fun () -> 65536) claim in
+  check_int "no frame yet" 0 (List.length got);
+  check_bool "well under the claimed 128 MiB allocated" true
+    (Gc.allocated_bytes () -. before < float_of_int (1 lsl 20))
 
 (* ------------------------ byte-identity merge ----------------------- *)
 
@@ -695,6 +801,16 @@ let () =
             test_wire_forged_length;
           Alcotest.test_case "damage decodes as typed errors" `Quick
             test_wire_damage_typed;
+          Alcotest.test_case "frame bytes pinned" `Quick test_wire_frame_bytes;
+        ] );
+      ( "conn",
+        [
+          Alcotest.test_case "frames cut anywhere decode whole, in order"
+            `Quick test_conn_frames_cut_anywhere;
+          Alcotest.test_case "a 4 MB frame is buffered in linear time" `Quick
+            test_conn_large_frame_linear;
+          Alcotest.test_case "a header's claimed length is not allocated"
+            `Quick test_conn_header_claim_not_allocated;
         ] );
       ( "merge",
         [

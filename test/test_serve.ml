@@ -1,7 +1,8 @@
 (* The serving layer: parallel-vs-sequential determinism, cache
-   correctness (a hit returns exactly what the cold miss computed), LRU
-   eviction under a tiny budget, typed overload rejection and deadline
-   expiry instead of blocking, and monotone metrics. *)
+   correctness (a hit returns exactly what the cold miss computed, the
+   request key's values pinned), LRU eviction under a tiny budget,
+   typed overload rejection and deadline expiry instead of blocking,
+   and monotone metrics. *)
 
 open Tabseg_serve
 open Tabseg_sitegen
@@ -105,6 +106,20 @@ let test_parallel_matches_sequential_csp () =
     responses
 
 (* --------------------------- cache behavior ------------------------- *)
+
+(* The request key is the content address persisted stores and peers
+   on older builds share, so its values are pinned. *)
+let test_request_key_pinned () =
+  let input =
+    {
+      Tabseg.Pipeline.list_pages = [ "<p>a</p>"; "<p>b</p>" ];
+      detail_pages = [ "<p>c</p>" ];
+    }
+  in
+  check_string "csp" "16e3c04ca9af34b408f24f29e7618da6"
+    (Cache.request_key ~method_:Tabseg.Api.Csp input);
+  check_string "tagged, probabilistic" "327e20f54020de3201ea740da742418e"
+    (Cache.request_key ~tag:"t" ~method_:Tabseg.Api.Probabilistic input)
 
 let test_cache_hit_identical () =
   let requests = requests_of [ "ButlerCounty" ] in
@@ -495,6 +510,8 @@ let () =
             test_lru_eviction;
           Alcotest.test_case "oversize values skipped" `Quick
             test_oversize_value_not_cached;
+          Alcotest.test_case "request key pinned" `Quick
+            test_request_key_pinned;
         ] );
       ( "overload",
         [

@@ -1,8 +1,8 @@
 (* The persistent store: log roundtrips across reopen, crash recovery
    (torn tail, flipped byte), the single-writer lock, reader refresh,
-   capacity-budgeted compaction, the versioned codec, the cache's L2
-   tier, and the end-to-end warm-start guarantee of a restarted
-   service. *)
+   capacity-budgeted compaction, the CRC-32 against its byte-at-a-time
+   reference, the versioned codec, the cache's L2 tier, and the
+   end-to-end warm-start guarantee of a restarted service. *)
 
 open Tabseg_sitegen
 module Store = Tabseg_store.Store
@@ -318,6 +318,58 @@ let test_compaction_bounds_and_evicts_oldest () =
     (Store.get store "key-40" = Some value);
   Store.close store
 
+(* ------------------------------ CRC-32 ------------------------------ *)
+
+module Crc32 = Tabseg_store.Crc32
+
+(* The byte-at-a-time table loop the store and the wire used before
+   slicing-by-8, kept verbatim as the reference: every value must stay
+   the same, or persisted logs and peers on an older build break. *)
+let crc_table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref n in
+         for _ = 0 to 7 do
+           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         !c))
+
+let crc32_string s off len =
+  let table = Lazy.force crc_table in
+  let c = ref 0xffffffff in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xffffffff
+
+let test_crc32_known_answers () =
+  check_int "CRC-32 check value" 0xCBF43926 (Crc32.string "123456789" 0 9);
+  check_int "empty string" 0 (Crc32.string "" 0 0);
+  check_int "empty window" 0 (Crc32.string "123456789" 4 0);
+  check_int "window of a larger string" 0xCBF43926
+    (Crc32.string "xx123456789yyy" 2 9);
+  check_int "bytes = string" 0xCBF43926
+    (Crc32.bytes (Bytes.of_string "123456789") 0 9);
+  List.iter
+    (fun (off, len) ->
+      match Crc32.string "123456789" off len with
+      | _ -> Alcotest.failf "window (%d, %d) must be refused" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (0, 10); (9, 1); (5, 5) ]
+
+(* Random strings up to a few KB, random windows: unaligned starts and
+   every tail length 0-7 past the last 8-byte step. *)
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"slicing-by-8 = byte-at-a-time reference"
+    ~count:500
+    QCheck.(triple (string_of_size Gen.(0 -- 4096)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Crc32.string s off len = crc32_string s off len
+      && Crc32.string s 0 n = crc32_string s 0 n)
+
 (* ------------------------------ codec ------------------------------- *)
 
 let superpages_input () =
@@ -552,6 +604,11 @@ let () =
         [
           Alcotest.test_case "bounded log, oldest evicted" `Quick
             test_compaction_bounds_and_evicts_oldest;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
         ] );
       ( "codec",
         [
