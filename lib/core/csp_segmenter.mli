@@ -54,9 +54,13 @@ type encoded = {
 }
 
 val encode : ?config:config -> mode -> Observation.t -> encoded
-(** Build the pseudo-boolean problem for an observation table. In [Relaxed]
-    mode all equalities become [≤] and each extract gets a weight-1 soft
-    constraint preferring assignment. *)
+(** Build the pseudo-boolean problem for an observation table. Entry [i]'s
+    candidate records get consecutive variables, entries in stream order.
+    The rows are the uniqueness rows, one per entry, then the
+    consecutiveness, position and monotonicity rows. In [Relaxed] mode the
+    uniqueness equalities become [≤] (with [Coverage], each followed by a
+    weight-1 soft constraint preferring assignment); the other rows are the
+    same in both modes, and {!segment} builds them once for both. *)
 
 val segment : ?config:config -> Pipeline.prepared -> Segmentation.t
 (** Run the full strict-then-relax procedure and assemble the segmentation

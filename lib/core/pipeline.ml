@@ -48,7 +48,8 @@ let tokenize html =
   Instrument.time ~stage:"pipeline.tokenize" (fun () -> Tokenizer.tokenize html)
 
 let locate ?(config = default_config) ?cached pages =
-  let page = List.hd pages in
+  let indexed = List.hd pages in
+  let page = Template.tokens indexed in
   (* The whole page stands in when the induced template is unusable
      (paper notes a/b). *)
   let fallback template_size =
@@ -61,7 +62,7 @@ let locate ?(config = default_config) ?cached pages =
     else begin
       let induce () =
         Instrument.time ~stage:"pipeline.template" (fun () ->
-            Template.induce pages)
+            Template.induce_pages pages)
       in
       let template =
         match cached with
@@ -77,7 +78,7 @@ let locate ?(config = default_config) ?cached pages =
       let template_size = Template.size template in
       if template_size < config.min_template_tokens then fallback template_size
       else begin
-        let slots = Template.slots template page in
+        let slots = Template.page_slots template indexed in
         let total_words =
           List.fold_left (fun acc slot -> acc + Slot.word_count slot) 0 slots
         in
@@ -117,7 +118,9 @@ let prepare ?(config = default_config) ?template_cache input =
       (fun cache -> (cache, page_set_key input.list_pages))
       template_cache
   in
-  let table_slot, notes, template_size = locate ~config ?cached pages in
+  let table_slot, notes, template_size =
+    locate ~config ?cached (List.map Template.page pages)
+  in
   let builder = Observation.start (Extract.of_slot table_slot) in
   List.iter
     (fun html -> observe_detail builder (tokenize html))

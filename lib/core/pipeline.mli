@@ -62,13 +62,14 @@ val tokenize : string -> Token.t array
 val locate :
   ?config:config ->
   ?cached:template_cache * string ->
-  Token.t array list ->
+  Template.page list ->
   Slot.t * Segmentation.note list * int
 (** [locate (page :: others)]: the table slot of [page] under the
-    template induced over all the pages (timed as [pipeline.template];
-    skipped when [~cached:(cache, key)] holds it), or the whole page with
-    notes a/b when the template is poor; then the notes and the template
-    size (0 when there was nothing to induce from). *)
+    template induced over all the pages (timed as [pipeline.template],
+    which includes indexing any page not indexed before; skipped when
+    [~cached:(cache, key)] holds it), or the whole page with notes a/b
+    when the template is poor; then the notes and the template size (0
+    when there was nothing to induce from). *)
 
 val observe_detail : Observation.builder -> Token.t array -> unit
 (** Match one detail page into the observation table under construction,

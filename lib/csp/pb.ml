@@ -19,25 +19,24 @@ let linear terms relation bound =
 let at_most_one vars = linear (List.map (fun v -> (v, 1)) vars) Le 1
 let exactly_one vars = linear (List.map (fun v -> (v, 1)) vars) Eq 1
 
-let validate_linear num_vars { terms; _ } =
-  let seen = Hashtbl.create (Array.length terms) in
-  Array.iter
-    (fun (v, _) ->
-      if v < 0 || v >= num_vars then
-        invalid_arg (Printf.sprintf "Pb.make: variable %d out of range" v);
-      if Hashtbl.mem seen v then
-        invalid_arg (Printf.sprintf "Pb.make: duplicate variable %d" v);
-      Hashtbl.replace seen v ())
-    terms
-
 let make ~num_vars constraints =
   let constraints = Array.of_list constraints in
-  Array.iter
-    (function
-      | Hard l -> validate_linear num_vars l
-      | Soft (l, w) ->
-        validate_linear num_vars l;
-        if w <= 0 then invalid_arg "Pb.make: non-positive soft weight")
+  (* stamp.(v) = r + 1 once row r has mentioned v *)
+  let stamp = Array.make (max 0 num_vars) 0 in
+  Array.iteri
+    (fun r constraint_ ->
+      let (Hard { terms; _ } | Soft ({ terms; _ }, _)) = constraint_ in
+      Array.iter
+        (fun (v, _) ->
+          if v < 0 || v >= num_vars then
+            invalid_arg (Printf.sprintf "Pb.make: variable %d out of range" v);
+          if stamp.(v) = r + 1 then
+            invalid_arg (Printf.sprintf "Pb.make: duplicate variable %d" v);
+          stamp.(v) <- r + 1)
+        terms;
+      match constraint_ with
+      | Soft (_, w) when w <= 0 -> invalid_arg "Pb.make: non-positive soft weight"
+      | Hard _ | Soft _ -> ())
     constraints;
   { num_vars; constraints }
 

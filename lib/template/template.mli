@@ -18,10 +18,31 @@ open Tabseg_token
 type t
 (** An induced page template. *)
 
+type page
+(** A page indexed for induction: its tokens and, per template key, the
+    position of the key's only occurrence or the fact that it repeats. The
+    index is built the first time an induction reads it; a caller that
+    induces over the same page more than once (the stream engine's head
+    pages) builds it once by keeping the [page]. Because the index is
+    built on demand, a [page] must not be shared between domains. *)
+
+val page : Token.t array -> page
+val tokens : page -> Token.t array
+
+val induce_pages : page list -> t
+(** [induce_pages pages] builds the template from at least one page (a
+    single page yields the degenerate template in which every unique token
+    is template, which is rarely useful — callers should supply two or more
+    pages). The first page fixes the order of the keys. *)
+
 val induce : Token.t array list -> t
-(** [induce pages] builds the template from at least one page (a single page
-    yields the degenerate template in which every unique token is template,
-    which is rarely useful — callers should supply two or more pages). *)
+(** [induce pages] is [induce_pages (List.map page pages)]. *)
+
+val eligible : page list -> int list
+(** The positions on the first page, ascending, of the tokens eligible for
+    the template of [pages]: those that occur exactly once on every page,
+    in the same context, with eligible word neighbors. The template is
+    their longest common subsequence across the pages. *)
 
 val keys : t -> string list
 (** The template token keys, in page order. *)
@@ -39,6 +60,9 @@ val slots : t -> Token.t array -> Slot.t list
     tokens (plus the prefix before the first and the suffix after the last).
     Empty ranges are omitted. If the page does not fit the template, the
     single whole-page slot is returned. *)
+
+val page_slots : t -> page -> Slot.t list
+(** {!slots} of an indexed page, reading its index. *)
 
 val covers_words : t -> Token.t array -> int
 (** Number of the page's word tokens that are part of the template — used by

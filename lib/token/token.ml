@@ -28,11 +28,8 @@ let is_separator t =
     Token_type.mem Token_type.Punctuation t.types
     && String.exists (fun c -> not (List.mem c benign_punctuation)) t.text
 
-let template_key t =
-  match t.kind with
-  | Start_tag name -> "<" ^ name ^ ">"
-  | End_tag name -> "</" ^ name ^ ">"
-  | Word -> t.text
+(* A tag's [text] is already its "<name>" / "</name>" rendering. *)
+let template_key t = t.text
 
 let equal_for_template a b = template_key a = template_key b
 

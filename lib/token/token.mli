@@ -5,13 +5,15 @@ type kind =
   | End_tag of string
   | Word  (** a visible text token *)
 
-type t = {
+type t = private {
   text : string;
       (** visible text for [Word]; canonical rendering for tags *)
   kind : kind;
   types : int;  (** {!Token_type} bitmask *)
   index : int;  (** position in the page's token stream *)
 }
+(** Tokens come only from {!word}, {!start_tag} and {!end_tag}, so a
+    tag's [text] is always its canonical ["<name>"] / ["</name>"]. *)
 
 val word : index:int -> string -> t
 (** Make a [Word] token, classifying its types. *)
@@ -29,7 +31,8 @@ val is_separator : t -> bool
 val template_key : t -> string
 (** Equality key used by template induction: tags compare by name and
     start/end polarity only (attribute values such as hrefs vary page to
-    page); words compare by exact text. *)
+    page); words compare by exact text. It is [text], allocated once when
+    the token is made. *)
 
 val equal_for_template : t -> t -> bool
 

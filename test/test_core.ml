@@ -363,6 +363,195 @@ let test_pipeline_whole_page_fallback () =
     && List.mem Tabseg.Segmentation.Entire_page_used
          prepared.Tabseg.Pipeline.notes)
 
+(* --------------- CSP encoder: former implementation --------------- *)
+
+(* The CSP encoder as it was before the rows both modes share were built
+   once per observation, kept verbatim as the reference the current
+   encoder must equal: same variables, same rows, same row order. *)
+module Csp = Tabseg.Csp_segmenter
+
+module Former_encoder = struct
+  open Tabseg_csp
+  open Csp
+
+  let encode ?(config = Csp.default_config) mode observation =
+    let entries = observation.Observation.entries in
+    let n = Array.length entries in
+    (* Allocate one variable per (entry, candidate record). *)
+    let variable_of = Hashtbl.create 64 in
+    let variables = ref [] in
+    let num_vars = ref 0 in
+    Array.iteri
+      (fun i entry ->
+        List.iter
+          (fun j ->
+            Hashtbl.replace variable_of (i, j) !num_vars;
+            variables := (i, j) :: !variables;
+            incr num_vars)
+          entry.Observation.pages)
+      entries;
+    let variables = Array.of_list (List.rev !variables) in
+    let var i j = Hashtbl.find variable_of (i, j) in
+    let constraints = ref [] in
+    let add c = constraints := c :: !constraints in
+    let seen_pairs = Hashtbl.create 256 in
+    let add_pair_le v1 v2 =
+      let key = (min v1 v2, max v1 v2) in
+      if not (Hashtbl.mem seen_pairs key) then begin
+        Hashtbl.replace seen_pairs key ();
+        add (Pb.Hard (Pb.at_most_one [ v1; v2 ]))
+      end
+    in
+    (* Uniqueness: every extract belongs to exactly (at most) one record. *)
+    Array.iteri
+      (fun i entry ->
+        let vars = List.map (var i) entry.Observation.pages in
+        match mode with
+        | Strict -> add (Pb.Hard (Pb.exactly_one vars))
+        | Relaxed -> (
+          add (Pb.Hard (Pb.at_most_one vars));
+          match config.relaxed_objective with
+          | Paper -> ()
+          | Coverage -> add (Pb.Soft (Pb.exactly_one vars, 1))))
+      entries;
+    (* Consecutiveness: candidates of record j separated by an entry that
+       cannot belong to j may not both be assigned to j. *)
+    for j = 0 to observation.Observation.num_details - 1 do
+      let candidates = ref [] in
+      Array.iteri
+        (fun i entry ->
+          if List.mem j entry.Observation.pages then candidates := i :: !candidates)
+        entries;
+      let candidates = List.rev !candidates in
+      (* Split candidates into blocks of stream-consecutive entries. *)
+      let blocks =
+        List.fold_left
+          (fun blocks i ->
+            match blocks with
+            | (last :: _ as block) :: rest when i = last + 1 ->
+              (i :: block) :: rest
+            | _ -> [ i ] :: blocks)
+          [] candidates
+        |> List.rev_map List.rev
+        |> List.rev
+      in
+      let rec cross = function
+        | [] -> ()
+        | block :: rest ->
+          List.iter
+            (fun i ->
+              List.iter
+                (fun other_block ->
+                  List.iter (fun k -> add_pair_le (var i j) (var k j)) other_block)
+                rest)
+            block;
+          cross rest
+      in
+      cross blocks
+    done;
+    (* Position: extracts observed at the same positions on a detail page
+       compete for that record — the page offers only as many slots as it
+       has occurrences. Extracts are grouped by their full occurrence-
+       position list on the page (a value printed twice on the detail page,
+       such as the repeated day in "12/12/1990", offers two slots), and at
+       most |positions| of a group may take the record. Combined with the
+       strict uniqueness equalities this yields the pigeonhole
+       unsatisfiabilities of the paper's Section 6.3 failure reports. *)
+    let groups = Hashtbl.create 64 in
+    Array.iteri
+      (fun i entry ->
+        let per_page = Hashtbl.create 4 in
+        List.iter
+          (fun (page, position) ->
+            Hashtbl.replace per_page page
+              (position
+              :: Option.value ~default:[] (Hashtbl.find_opt per_page page)))
+          entry.Observation.positions;
+        Hashtbl.iter
+          (fun page positions ->
+            let key = (page, List.sort compare positions) in
+            Hashtbl.replace groups key
+              (i :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
+          per_page)
+      entries;
+    Hashtbl.iter
+      (fun (page, positions) members ->
+        let slots = List.length positions in
+        match members with
+        | [] | [ _ ] -> ()
+        | members when List.length members > slots ->
+          let terms = List.map (fun i -> (var i page, 1)) members in
+          add (Pb.Hard (Pb.linear terms Pb.Le slots))
+        | _ -> ())
+      groups;
+    (* Monotonicity: an earlier extract may not sit in a later record than a
+       later extract. *)
+    if config.monotone then
+      for i = 0 to n - 1 do
+        for k = i + 1 to n - 1 do
+          List.iter
+            (fun j ->
+              List.iter
+                (fun j' -> if j > j' then add_pair_le (var i j) (var k j'))
+                entries.(k).Observation.pages)
+            entries.(i).Observation.pages
+        done
+      done;
+    let problem = Pb.make ~num_vars:!num_vars (List.rev !constraints) in
+    { problem; variables }
+end
+
+(* Random observations: 1-30 entries over 1-6 detail pages, each entry
+   observed at 1-4 random (page, position) pairs with positions in 0..4,
+   so that position groups collide; [pages] is the ascending set of the
+   observed pages, as Observation builds it. *)
+let gen_observation =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun num_details ->
+  list_size (int_range 1 30)
+    (list_size (int_range 1 4) (pair (int_bound (num_details - 1)) (int_bound 4)))
+  >|= fun rows ->
+  make_observation ~num_details
+    (List.mapi
+       (fun i positions ->
+         ( Printf.sprintf "w%d" i,
+           List.sort_uniq compare (List.map fst positions),
+           positions ))
+       rows)
+
+let print_observation (o : Observation.t) =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (fun (e : Observation.entry) ->
+            String.concat " "
+              (List.map
+                 (fun (page, position) -> Printf.sprintf "%d@%d" page position)
+                 e.Observation.positions))
+          o.Observation.entries))
+
+let prop_encode_matches_former =
+  let configs =
+    [
+      Csp.default_config;
+      Csp.coverage_config;
+      { Csp.default_config with Csp.monotone = false };
+    ]
+  in
+  QCheck.Test.make ~name:"encode equals the former encoder" ~count:500
+    (QCheck.make ~print:print_observation gen_observation)
+    (fun observation ->
+      List.for_all
+        (fun config ->
+          List.for_all
+            (fun mode ->
+              let encoded = Csp.encode ~config mode observation in
+              let former = Former_encoder.encode ~config mode observation in
+              encoded.Csp.problem = former.Csp.problem
+              && encoded.Csp.variables = former.Csp.variables)
+            [ Csp.Strict; Csp.Relaxed ])
+        configs)
+
 let () =
   Alcotest.run "tabseg_core"
     [
@@ -376,6 +565,7 @@ let () =
             test_csp_empty_observation;
           Alcotest.test_case "consecutiveness" `Quick test_csp_consecutiveness;
           Alcotest.test_case "monotonicity" `Quick test_csp_monotonicity;
+          QCheck_alcotest.to_alcotest prop_encode_matches_former;
         ] );
       ( "prob_segmenter",
         [

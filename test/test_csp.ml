@@ -38,6 +38,36 @@ let test_make_validation () =
     (Invalid_argument "Pb.make: non-positive soft weight") (fun () ->
       ignore (Pb.make ~num_vars:2 [ Pb.Soft (Pb.exactly_one [ 0 ], 0) ]))
 
+(* Validation walks the rows in order and each row's terms in order: the
+   first bad term of the first bad row is the one reported, and a variable
+   may appear once in each of several rows. *)
+let test_make_first_bad_row () =
+  let raises name message rows =
+    Alcotest.check_raises name (Invalid_argument message) (fun () ->
+        ignore (Pb.make ~num_vars:4 rows))
+  in
+  let row vars =
+    Pb.Hard (Pb.linear (List.map (fun v -> (v, 1)) vars) Pb.Le 1)
+  in
+  raises "duplicate before out of range" "Pb.make: duplicate variable 1"
+    [ row [ 0; 1 ]; row [ 1; 2; 1 ]; row [ 9 ] ];
+  raises "out of range before duplicate" "Pb.make: variable 9 out of range"
+    [ row [ 0; 1 ]; row [ 2; 9 ]; row [ 3; 3 ] ];
+  raises "first bad term in a row" "Pb.make: variable -1 out of range"
+    [ row [ 0; -1; 0 ] ];
+  raises "terms before weight" "Pb.make: duplicate variable 2"
+    [ Pb.Soft (Pb.at_most_one [ 2; 2 ], 0) ];
+  raises "weight before later rows" "Pb.make: non-positive soft weight"
+    [ row [ 0 ]; Pb.Soft (Pb.at_most_one [ 1 ], -1); row [ 5 ] ];
+  Alcotest.check_raises "no variables at all"
+    (Invalid_argument "Pb.make: variable 0 out of range") (fun () ->
+      ignore (Pb.make ~num_vars:0 [ row []; row [ 0 ] ]));
+  let problem =
+    Pb.make ~num_vars:4 [ row [ 0; 1 ]; row [ 1; 0 ]; row [ 0; 1; 2; 3 ] ]
+  in
+  check_int "a variable may appear in several rows" 3
+    (Array.length problem.Pb.constraints)
+
 let test_costs () =
   let problem =
     Pb.make ~num_vars:2
@@ -342,6 +372,8 @@ let () =
             test_negative_coefficients;
           Alcotest.test_case "make validation" `Quick test_make_validation;
           Alcotest.test_case "costs" `Quick test_costs;
+          Alcotest.test_case "make reports the first bad row" `Quick
+            test_make_first_bad_row;
         ] );
       ( "exact",
         [

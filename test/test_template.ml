@@ -171,6 +171,230 @@ let test_slots_whole_page_when_no_fit () =
     check_int "whole page slot" (Array.length foreign) (Slot.length slot)
   | _ -> Alcotest.fail "expected single whole-page slot"
 
+(* ------------------- Template: former implementation ------------------- *)
+
+(* Template induction and matching as they were before pages were indexed
+   once ([Template.page]), kept verbatim as the reference the current
+   implementation must equal. *)
+module Former = struct
+  type t = { template_keys : string array }
+
+  let key_positions page =
+    let positions = Hashtbl.create 256 in
+    Array.iteri
+      (fun i token ->
+        let key = Token.template_key token in
+        Hashtbl.replace positions key
+          (i :: Option.value ~default:[] (Hashtbl.find_opt positions key)))
+      page;
+    positions
+
+  let neighbor_keys page i =
+    let key j =
+      if j < 0 then "^page-start^"
+      else if j >= Array.length page then "^page-end^"
+      else Token.template_key page.(j)
+    in
+    (key (i - 1), key (i + 1))
+
+  (* Tokens eligible for the page template must (1) occur exactly once on
+     every page, (2) in the same immediate context (previous and next token
+     key), and (3) — computed as a fixpoint — have every adjacent *word*
+     neighbor be eligible too (tag neighbors are exempt). Rules 2 and 3
+     reject data values that happen to occur once per page (a "Betty Lee" on
+     both pages keeps "Betty" unique, but its neighbor "Lee" repeats and is
+     ineligible, which disqualifies "Betty" as well), while keeping genuine
+     per-row structure such as entry enumerators, whose neighbors are the
+     same row tags on every page, and chrome sentences, whose neighbors are
+     eligible chrome words. *)
+  let unique_everywhere pages =
+    match pages with
+    | [] -> fun _ -> false
+    | _ ->
+      let all_positions = List.map (fun p -> (p, key_positions p)) pages in
+      let base_eligible key =
+        let contexts =
+          List.map
+            (fun (page, positions) ->
+              match Hashtbl.find_opt positions key with
+              | Some [ i ] -> Some (neighbor_keys page i)
+              | Some _ | None -> None)
+            all_positions
+        in
+        match contexts with
+        | Some first :: rest ->
+          List.for_all (fun context -> context = Some first) rest
+        | _ -> false
+      in
+      (* Collect the candidate set once, then erode it at word boundaries. *)
+      let candidates = Hashtbl.create 256 in
+      List.iter
+        (fun (page, _) ->
+          Array.iter
+            (fun token ->
+              let key = Token.template_key token in
+              if (not (Hashtbl.mem candidates key)) && base_eligible key then
+                Hashtbl.replace candidates key ())
+            page)
+        all_positions;
+      let is_tag_key key = String.length key > 0 && key.[0] = '<' in
+      let boundary_key key =
+        key = "^page-start^" || key = "^page-end^"
+      in
+      let neighbor_ok key =
+        is_tag_key key || boundary_key key || Hashtbl.mem candidates key
+      in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (page, positions) ->
+            Hashtbl.iter
+              (fun key () ->
+                match Hashtbl.find_opt positions key with
+                | Some [ i ] ->
+                  let previous, next = neighbor_keys page i in
+                  if not (neighbor_ok previous && neighbor_ok next) then begin
+                    Hashtbl.remove candidates key;
+                    changed := true
+                  end
+                | Some _ | None -> ())
+              (Hashtbl.copy candidates))
+          all_positions
+      done;
+      fun key -> Hashtbl.mem candidates key
+
+  let filtered_sequence eligible page =
+    Array.of_list
+      (Array.to_list page
+      |> List.filter_map (fun token ->
+             let key = Token.template_key token in
+             if eligible key then Some key else None))
+
+  let induce pages =
+    match pages with
+    | [] -> { template_keys = [||] }
+    | first :: rest ->
+      let eligible = unique_everywhere pages in
+      let initial = filtered_sequence eligible first in
+      let template_keys =
+        List.fold_left
+          (fun acc page ->
+            let candidate = filtered_sequence eligible page in
+            Array.of_list (Lcs.of_arrays ~equal:String.equal acc candidate))
+          initial rest
+      in
+      { template_keys }
+
+  let match_positions t page =
+    (* Each template key occurs at most a handful of times; find its unique
+       occurrence and check monotonicity. *)
+    let occurrences = Hashtbl.create 256 in
+    Array.iteri
+      (fun i token ->
+        let key = Token.template_key token in
+        Hashtbl.replace occurrences key
+          (i :: Option.value ~default:[] (Hashtbl.find_opt occurrences key)))
+      page;
+    let n = Array.length t.template_keys in
+    let positions = Array.make n (-1) in
+    let ok = ref true in
+    let previous = ref (-1) in
+    for i = 0 to n - 1 do
+      if !ok then
+        match Hashtbl.find_opt occurrences t.template_keys.(i) with
+        | Some [ position ] when position > !previous ->
+          positions.(i) <- position;
+          previous := position
+        | Some _ | None -> ok := false
+    done;
+    if !ok then Some positions else None
+end
+
+(* Random pages over a small vocabulary, each a noisy copy of one base
+   sequence, a third of them rotated at a random cut, so that keys repeat,
+   occur once, share or differ in context, and come in different orders
+   on different pages. The vocabulary includes a word spelled like the
+   page-boundary sentinel and a word that starts with '<'. *)
+let vocabulary =
+  Array.append
+    (Array.concat
+       (List.map
+          (fun name ->
+            [|
+              (fun index -> Token.start_tag ~index name);
+              (fun index -> Token.end_tag ~index name);
+            |])
+          [ "p"; "td"; "b" ]))
+    (Array.map
+       (fun text index -> Token.word ~index text)
+       [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "1."; "2."; "Results";
+          "^page-start^"; "<x" |])
+
+let gen_pages =
+  let open QCheck.Gen in
+  let symbol = int_bound (Array.length vocabulary - 1) in
+  let noisy base =
+    flatten_l
+      (List.map
+         (fun v ->
+           pair (int_bound 99) (opt ~ratio:0.2 symbol) >|= fun (keep, extra) ->
+           (if keep < 85 then [ v ] else []) @ Option.to_list extra)
+         base)
+    >|= List.concat
+  in
+  let rotated symbols =
+    pair (int_bound 2) (int_bound (List.length symbols)) >|= fun (r, cut) ->
+    if r > 0 then symbols
+    else
+      List.filteri (fun i _ -> i >= cut) symbols
+      @ List.filteri (fun i _ -> i < cut) symbols
+  in
+  list_size (int_range 0 30) symbol >>= fun base ->
+  int_range 2 5 >>= fun k ->
+  list_repeat k (noisy base >>= rotated)
+  >|= List.map (fun symbols ->
+          Array.of_list (List.mapi (fun index v -> vocabulary.(v) index) symbols))
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | items ->
+    List.concat_map
+      (fun item ->
+        List.map (List.cons item)
+          (permutations (List.filter (fun other -> other != item) items)))
+      items
+
+let print_pages pages =
+  String.concat "\n"
+    (List.map
+       (fun page ->
+         String.concat " "
+           (Array.to_list (Array.map (fun t -> t.Token.text) page)))
+       pages)
+
+(* In every page order, the template of all the pages and the template of
+   the first two (which other pages need not fit) must equal the former
+   implementation's, and so must their positions on every page. *)
+let prop_induce_matches_former =
+  QCheck.Test.make ~name:"induce equals the former implementation" ~count:300
+    (QCheck.make ~print:print_pages gen_pages)
+    (fun pages ->
+      List.for_all
+        (fun order ->
+          List.for_all
+            (fun induced ->
+              let template = Template.induce induced in
+              let former = Former.induce induced in
+              Template.keys template = Array.to_list former.Former.template_keys
+              && List.for_all
+                   (fun page ->
+                     Template.match_positions template page
+                     = Former.match_positions former page)
+                   pages)
+            [ order; List.filteri (fun i _ -> i < 2) order ])
+        (permutations pages))
+
 (* ------------------------------ Slot ------------------------------ *)
 
 let test_slot_word_count () =
@@ -226,6 +450,7 @@ let () =
           Alcotest.test_case "slots cover table" `Quick test_slots_cover_table;
           Alcotest.test_case "whole page slot when no fit" `Quick
             test_slots_whole_page_when_no_fit;
+          QCheck_alcotest.to_alcotest prop_induce_matches_former;
         ] );
       ( "slot",
         [
