@@ -237,6 +237,46 @@ let test_refine_monotone () =
   in
   check_bool "estimate narrows monotonically" true (monotone sizes)
 
+(* The estimate's progress events on eight corpus sites, pinned as
+   "pages seen:template size:slot count:boundaries changed", one string
+   per site. They were produced by the engine's former estimator, which
+   kept its own key-position tables and ran its own erosion; the estimate
+   read from the head pages' template indexes must reproduce them. *)
+let expected_progress =
+  [
+    "2:30:21:true 3:28:20:true 4:28:20:false 5:28:20:false 6:28:20:false";
+    "2:11:3:true 3:11:3:false 4:11:3:false 5:11:3:false";
+    "2:31:20:true 3:30:19:true 4:30:19:false 5:30:19:false 6:30:19:false";
+    "2:11:3:true 3:11:3:false 4:11:3:false 5:11:3:false 6:11:3:false";
+    "2:21:13:true 3:21:13:false 4:21:13:false 5:18:10:true";
+    "2:14:6:true 3:11:3:true 4:11:3:false 5:11:3:false 6:11:3:false";
+    "2:18:10:true 3:18:10:false 4:18:10:false 5:18:10:false 6:18:10:false";
+    "2:25:17:true 3:25:17:false 4:25:17:false 5:25:17:false 6:25:17:false";
+  ]
+
+let test_refine_progress_pinned () =
+  let config =
+    { Engine.default_config with Engine.head_window = 6; method_ = Api.Csp }
+  in
+  let progress spec =
+    let seen = ref [] in
+    let on_event = function
+      | Frame.Template_refined p ->
+        seen :=
+          Printf.sprintf "%d:%d:%d:%b" p.Frame.pages_seen p.Frame.template_size
+            p.Frame.slot_count p.Frame.boundaries_changed
+          :: !seen
+      | _ -> ()
+    in
+    let _ =
+      Runner.run ~config ~on_event (Source.of_pages (site_pages spec ~units:6))
+    in
+    String.concat " " (List.rev !seen)
+  in
+  Alcotest.(check (list string))
+    "progress events" expected_progress
+    (List.map progress (corpus_specs ~sites:8 ~seed:41 ~max_rows:2_000))
+
 (* ------------------------- bounded memory ---------------------------- *)
 
 (* Stream a 10^5-row site's units from a lazy source: the engine's live
@@ -387,6 +427,8 @@ let () =
             test_first_record_before_source_exhausted;
           Alcotest.test_case "template estimate narrows" `Slow
             test_refine_monotone;
+          Alcotest.test_case "template estimate pinned" `Quick
+            test_refine_progress_pinned;
         ] );
       ( "memory",
         [
