@@ -60,7 +60,11 @@ let input_error_message = function
   | All_details_lost -> "every detail page is empty or missing"
   | Pipeline_failure message -> "pipeline failure: " ^ message
 
-let blank html = String.trim html = ""
+let rec blank_from html i =
+  i >= String.length html
+  || Tabseg_html.Lexer.is_space (String.unsafe_get html i) && blank_from html (i + 1)
+
+let blank html = blank_from html 0
 
 let segment_result ?pipeline_config ?template_cache ?csp_config ?prob_config
     ?transpose_vertical ~method_ input =

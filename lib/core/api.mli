@@ -56,6 +56,12 @@ type input_error =
 
 val input_error_message : input_error -> string
 
+val blank : string -> bool
+(** [blank html] is [String.trim html = ""], without the copy: true when
+    every byte is whitespace ({!Tabseg_html.Lexer.is_space}). It is the
+    emptiness check {!segment_result} and the stream engine apply to the
+    list page and to each detail page. *)
+
 val segment_result :
   ?pipeline_config:Pipeline.config ->
   ?template_cache:Pipeline.template_cache ->

@@ -143,7 +143,7 @@ let start_work t (u : unit_state) =
    the duration of this call. *)
 let process_detail t (u : unit_state) html =
   u.u_count <- u.u_count + 1;
-  if String.trim html <> "" then u.u_nonblank <- true;
+  if not (Api.blank html) then u.u_nonblank <- true;
   match (u.u_work, u.u_failed) with
   | Some w, None -> begin
     try
@@ -159,9 +159,8 @@ let process_detail t (u : unit_state) html =
    method's segmenter on the assembled prepared value, emit the records
    then the outcome. *)
 let close_unit t (u : unit_state) =
-  let blank html = String.trim html = "" in
   let outcome =
-    if blank u.u_html then Error Api.Blank_list_page
+    if Api.blank u.u_html then Error Api.Blank_list_page
     else if u.u_count = 0 || not u.u_nonblank then Error Api.All_details_lost
     else begin
       match (u.u_failed, u.u_work) with

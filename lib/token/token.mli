@@ -12,13 +12,29 @@ type t = private {
   types : int;  (** {!Token_type} bitmask *)
   index : int;  (** position in the page's token stream *)
 }
-(** Tokens come only from {!word}, {!start_tag} and {!end_tag}, so a
-    tag's [text] is always its canonical ["<name>"] / ["</name>"]. *)
+(** Tokens come only from {!word}, {!tag}, {!start_tag} and {!end_tag},
+    so a tag's [text] is always its canonical ["<name>"] / ["</name>"]. *)
 
 val word : index:int -> string -> t
 (** Make a [Word] token, classifying its types. *)
 
+type shape
+(** A tag's kind and canonical text. *)
+
+val start_shape : string -> shape
+(** The shape of the start tag [<name>], from its lowercased name. *)
+
+val end_shape : string -> shape
+(** The shape of the end tag [</name>]. *)
+
+val tag : index:int -> shape -> t
+(** A tag token of the given shape. Every token made from one shape
+    shares its text and kind, so a tokenizer that makes each distinct
+    tag's shape once per page allocates only the token itself per tag. *)
+
 val start_tag : index:int -> string -> t
+(** [start_tag ~index name] is [tag ~index (start_shape name)]. *)
+
 val end_tag : index:int -> string -> t
 
 val is_tag : t -> bool
@@ -26,7 +42,8 @@ val is_word : t -> bool
 
 val is_separator : t -> bool
 (** Per Section 3.2: HTML tags are separators; so is a punctuation-only
-    token containing any character outside the benign set [.,()-]. *)
+    token containing any character outside the benign set [.,()-]
+    ({!Tabseg_html.Lexer.is_benign_punctuation}). *)
 
 val template_key : t -> string
 (** Equality key used by template induction: tags compare by name and

@@ -46,17 +46,15 @@ let is_digit c = c >= '0' && c <= '9'
 let is_upper c = c >= 'A' && c <= 'Z'
 
 let classify_word s =
-  let letters = ref 0 and uppers = ref 0 and lowers = ref 0 in
-  let digits = ref 0 and others = ref 0 in
-  String.iter
-    (fun c ->
-      if is_letter c then begin
-        incr letters;
-        if is_upper c then incr uppers else incr lowers
-      end
-      else if is_digit c then incr digits
-      else incr others)
-    s;
+  let letters = ref 0 and uppers = ref 0 and digits = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if is_letter c then begin
+      incr letters;
+      if is_upper c then incr uppers
+    end
+    else if is_digit c then incr digits
+  done;
   let mask = ref 0 in
   let alnum = !letters > 0 || !digits > 0 in
   if alnum then mask := add Alphanumeric !mask
@@ -64,7 +62,7 @@ let classify_word s =
   if !digits > 0 && !letters = 0 then mask := add Numeric !mask;
   if !letters > 0 && !digits = 0 then begin
     mask := add Alphabetic !mask;
-    if !lowers = 0 then mask := add Allcaps !mask
+    if !uppers = !letters then mask := add Allcaps !mask
     else if !uppers = 0 then mask := add Lowercased !mask
     else if is_upper s.[0] && !uppers = 1 then mask := add Capitalized !mask
   end;

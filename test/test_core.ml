@@ -552,6 +552,18 @@ let prop_encode_matches_former =
             [ Csp.Strict; Csp.Relaxed ])
         configs)
 
+(* [Api.blank] scans for a non-whitespace byte; it must agree with the
+   copying [String.trim s = ""] it replaced, over strings of the five
+   bytes [String.trim] strips and one that it keeps. *)
+let prop_blank_is_trim =
+  QCheck.Test.make ~name:"blank = (String.trim s = \"\")" ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          string_size ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '\012'; 'x' ])
+            (int_range 0 12)))
+    (fun s -> Tabseg.Api.blank s = (String.trim s = ""))
+
 let () =
   Alcotest.run "tabseg_core"
     [
@@ -600,4 +612,5 @@ let () =
           Alcotest.test_case "whole page fallback" `Quick
             test_pipeline_whole_page_fallback;
         ] );
+      ("api", [ QCheck_alcotest.to_alcotest prop_blank_is_trim ]);
     ]
