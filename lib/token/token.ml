@@ -21,7 +21,8 @@ let start_tag ~index name = tag ~index (start_shape name)
 let end_tag ~index name = tag ~index (end_shape name)
 
 let is_tag t = match t.kind with Start_tag _ | End_tag _ -> true | Word -> false
-let is_word t = t.kind = Word
+let is_word t =
+  match t.kind with Word -> true | Start_tag _ | End_tag _ -> false
 
 let rec all_benign text i =
   i >= String.length text
