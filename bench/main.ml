@@ -1212,13 +1212,14 @@ let render_gateway_responses responses =
 
 (* The sequential, uncached reference rendering — what every gateway
    configuration must reproduce byte for byte. *)
-let gateway_reference requests =
+let gateway_reference ?(method_ = Serve.Service.default_config.method_)
+    requests =
   render_responses
     (let service =
        Serve.Service.create
          ~config:
            { Serve.Service.default_config with
-             Serve.Service.jobs = 1; cache = None }
+             Serve.Service.jobs = 1; cache = None; method_ }
          ()
      in
      Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
@@ -1397,6 +1398,48 @@ let gateway_bench ?(json = false) () =
   end;
   points
 
+(* A crash from outside, as a real one happens: one site's requests go
+   to a procs=2 gateway whose workers sleep [simulated_fetch_s] inside
+   every cold request; 0.1 s in, the worker the master counts a backlog
+   for is SIGKILLed, and the gateway is pumped until every request
+   resolved. Driven by submit + pump on this thread: a process that
+   forks workers may not have spawned a Domain. Returns the renderings
+   and the restart count. *)
+let gateway_kill_mid_request requests =
+  let service =
+    { Serve.Service.default_config with Serve.Service.simulated_fetch_s = 0.2 }
+  in
+  let gateway =
+    Gw.create
+      ~config:{ Gw.default_config with Gw.procs = 2; backoff_s = 0.01; service }
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Gw.shutdown gateway) @@ fun () ->
+  let responses = Array.make (List.length requests) None in
+  List.iteri
+    (fun i request ->
+      Gw.submit gateway ~on_complete:(fun r -> responses.(i) <- Some r) request)
+    requests;
+  let until = Unix.gettimeofday () +. 0.1 in
+  while Unix.gettimeofday () < until do
+    Gw.pump ~max_wait_s:0.01 gateway
+  done;
+  let backlog i =
+    Serve.Metrics.gauge_value
+      (Serve.Metrics.gauge (Gw.metrics gateway)
+         (Printf.sprintf "gateway.worker%d.inflight" i))
+  in
+  List.iteri
+    (fun i pid -> if backlog i > 0. then Unix.kill pid Sys.sigkill)
+    (Gw.worker_pids gateway);
+  while Array.exists Option.is_none responses do
+    Gw.pump ~max_wait_s:0.05 gateway
+  done;
+  ( render_gateway_responses
+      (Array.to_list (Array.map Option.get responses)),
+    Serve.Metrics.counter_value
+      (Serve.Metrics.counter (Gw.metrics gateway) "gateway.worker_restarts") )
+
 (* The per-PR gateway guard: procs=2 must reproduce the sequential
    segmentation byte for byte, and a worker killed mid-request must be
    restarted with the request re-dispatched — the caller sees the
@@ -1428,38 +1471,17 @@ let gateway_smoke () =
       fmt
   in
   (* 1. procs=2 responses byte-identical to procs=1 (inline). *)
-  let run_procs procs fault =
-    let gateway =
-      Gw.create ~config:{ Gw.default_config with Gw.procs; backoff_s = 0.01 }
-        ()
-    in
+  let run_procs procs =
+    let gateway = Gw.create ~config:{ Gw.default_config with Gw.procs } () in
     Fun.protect ~finally:(fun () -> Gw.shutdown gateway) @@ fun () ->
-    let rendered =
-      render_gateway_responses (Gw.run_batch gateway ?fault requests)
-    in
-    let restarts =
-      Serve.Metrics.counter_value
-        (Serve.Metrics.counter (Gw.metrics gateway)
-           "gateway.worker_restarts")
-    in
-    (rendered, restarts)
+    render_gateway_responses (Gw.run_batch gateway requests)
   in
-  let inline, _ = run_procs 1 None in
+  let inline = run_procs 1 in
   if inline <> reference then fail "procs=1 diverged from sequential";
-  let forked, _ = run_procs 2 None in
+  let forked = run_procs 2 in
   if forked <> inline then fail "procs=2 diverged from procs=1";
-  (* 2. a worker crash mid-request recovers to the correct result. *)
-  let marker = Filename.temp_file "tabseg_gw_smoke" ".crash" in
-  Fun.protect ~finally:(fun () ->
-      if Sys.file_exists marker then Sys.remove marker)
-  @@ fun () ->
-  let poison = (List.hd requests).Serve.Service.id in
-  let fault (request : Serve.Service.request) =
-    if request.Serve.Service.id = poison then
-      Tabseg_gateway.Wire.Crash_if_exists marker
-    else Tabseg_gateway.Wire.No_fault
-  in
-  let recovered, restarts = run_procs 2 (Some fault) in
+  (* 2. a worker killed mid-request recovers to the correct result. *)
+  let recovered, restarts = gateway_kill_mid_request requests in
   if recovered <> reference then
     fail "responses after worker crash diverged from sequential";
   if restarts < 1 then fail "worker crash was not supervised (no restart)";
@@ -1484,12 +1506,13 @@ let zipf_sampler ~state ~n ~exponent =
   fun () -> Prng.zipf_index cdf (Random.State.float state 1.0)
 
 (* Every overload request reuses one small page set under 12 synthetic
-   site labels: the label drives affinity and quotas, the shared input
-   makes the worker's result memo absorb the segmentation cost, and an
-   injected [Sleep_s] models the service time — so the bench measures
-   queueing and the degradation ladder, not the segmenter (essential on
-   a 1-core runner, where sleeps overlap across processes but compute
-   does not). *)
+   site labels: the label drives affinity and quotas. The workers model
+   the service time: with no cache, every request sleeps
+   [simulated_fetch_s] and then runs a CSP segmentation of the page,
+   which costs under a millisecond — so the bench measures queueing and
+   the degradation ladder, not the segmenter (essential on a 1-core
+   runner, where sleeps overlap across processes but compute does
+   not). *)
 let overload_input () =
   let site = Sites.find "ButlerCounty" in
   let generated = Sites.generate site in
@@ -1500,6 +1523,20 @@ let overload_input () =
 
 let overload_labels =
   Array.init 12 (fun i -> Printf.sprintf "overload-site-%02d" i)
+
+let modeled_service service_s =
+  {
+    Serve.Service.default_config with
+    Serve.Service.cache = None;
+    simulated_fetch_s = service_s;
+    method_ = Tabseg.Api.Csp;
+  }
+
+(* What every modeled-service reply must render to. *)
+let modeled_reference input =
+  List.hd
+    (gateway_reference ~method_:Tabseg.Api.Csp
+       [ { Serve.Service.id = "ref"; site = "ref"; input } ])
 
 type overload_mode = {
   om_name : string;
@@ -1555,6 +1592,7 @@ let overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
     {
       Gw.default_config with
       Gw.procs = 2;
+      service = modeled_service service_s;
       deadline_s = Some deadline_s;
       spill_threshold = mode.om_spill;
       shed = mode.om_shed;
@@ -1578,20 +1616,13 @@ let overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
       0 [| 0; 1 |]
   in
   let request ~id label = { Serve.Service.id = id; site = label; input } in
-  let slow _ = Tabseg_gateway.Wire.Sleep_s service_s in
-  (* Warmup 1 populates both workers' result memos (real segmentation
-     happens once per worker); warmup 2 pulls the per-worker EWMAs from
-     that cold sample toward the modeled service time. Not counted. *)
-  let warm tag fault =
-    ignore
-      (Gw.run_batch gateway ?fault
-         (Array.to_list
-            (Array.map
-               (fun label -> request ~id:(tag ^ label) label)
-               overload_labels)))
-  in
-  warm "w1-" None;
-  warm "w2-" (Some slow);
+  (* One warm-up round, not counted, seeds the per-worker EWMAs with
+     the modeled service time. *)
+  ignore
+    (Gw.run_batch gateway
+       (Array.to_list
+          (Array.map (fun label -> request ~id:("w-" ^ label) label)
+             overload_labels)));
   let base_shed = counter "gateway.shed" in
   let base_spilled = counter "gateway.spilled" in
   let base_quota = counter "gateway.quota_rejected" in
@@ -1613,7 +1644,7 @@ let overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
             overload_labels.(draw ()))
     in
     let wave_started = Unix.gettimeofday () in
-    let responses = Gw.run_batch gateway ~fault:slow requests in
+    let responses = Gw.run_batch gateway requests in
     List.iter
       (fun (response : Gw.response) ->
         match response.Gw.outcome with
@@ -1714,11 +1745,7 @@ let overload_bench ?(json = false) () =
     (Array.length overload_labels)
     (2. /. service_s);
   let input = overload_input () in
-  let reference =
-    List.hd
-      (gateway_reference
-         [ { Serve.Service.id = "ref"; site = "ref"; input } ])
-  in
+  let reference = modeled_reference input in
   let points =
     List.concat_map
       (fun rate ->
@@ -1760,11 +1787,7 @@ let overload_smoke () =
   let service_s = 0.02 and deadline_s = 0.5 in
   let rate = 160 in
   let input = overload_input () in
-  let reference =
-    List.hd
-      (gateway_reference
-         [ { Serve.Service.id = "ref"; site = "ref"; input } ])
-  in
+  let reference = modeled_reference input in
   let cell mode =
     overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
       ~reference
@@ -1808,8 +1831,7 @@ module Dclient = Tabseg_daemon.Client
 module Dload = Tabseg_daemon.Loadgen
 
 (* Same trick as the overload bench: a handful of site labels over one
-   shared input, so the workers' result memos absorb the segmentation
-   cost and an injected [Sleep_s] models service time — the bench
+   shared input, and workers that model the service time — the bench
    measures the socket edge, the pipelining and the drain choreography,
    not the segmenter. *)
 let daemon_labels = Array.init 8 (fun i -> Printf.sprintf "daemon-site-%02d" i)
@@ -1818,13 +1840,18 @@ let daemon_sites input = Array.map (fun label -> (label, input)) daemon_labels
 let daemon_expected reference =
   Array.to_list (Array.map (fun label -> (label, reference)) daemon_labels)
 
-let daemon_config ?auth_token ?site_quota listen =
+let daemon_config ?auth_token ?site_quota ~service_s listen =
   {
     Dm.default_config with
     Dm.listen;
     auth_token;
     gateway =
-      { Gw.default_config with Gw.procs = 2; site_quota_rps = site_quota };
+      {
+        Gw.default_config with
+        Gw.procs = 2;
+        site_quota_rps = site_quota;
+        service = modeled_service service_s;
+      };
   }
 
 (* Counter snapshot over the wire — the daemon is a separate process,
@@ -1837,26 +1864,6 @@ let daemon_stat ?auth_token address name =
     @@ fun () ->
     (match Dclient.stats c with
     | Ok stats -> ( try List.assoc name stats with Not_found -> nan)
-    | Error e -> failwith (Dclient.error_message e))
-
-(* One warm round through a short-lived client: populates each affinity
-   worker's result memo so the measured window holds steady-state
-   service, not two cold segmentations. *)
-let daemon_warm ?auth_token address input =
-  match Dclient.connect ~client:"bench-warm" ?auth_token address with
-  | Error e -> failwith (Dclient.connect_error_message e)
-  | Ok c ->
-    Fun.protect ~finally:(fun () -> Dclient.close c)
-    @@ fun () ->
-    (match
-       Dclient.submit_all c
-         (Array.to_list
-            (Array.map
-               (fun label ->
-                 { Serve.Service.id = "warm-" ^ label; site = label; input })
-               daemon_labels))
-     with
-    | Ok _ -> ()
     | Error e -> failwith (Dclient.error_message e))
 
 type daemon_point = {
@@ -1875,7 +1882,7 @@ type daemon_point = {
 }
 
 (* One (transport, conns) cell: a fresh daemon process (2 gateway
-   workers), warmed, then [conns] concurrent connections in closed loop
+   workers), then [conns] concurrent connections in closed loop
    keeping [pipeline] requests outstanding each, every Ok reply checked
    byte-for-byte against the sequential in-process reference. *)
 let daemon_cell ~transport ~conns ~pipeline ~service_s ~duration_s ~input
@@ -1887,9 +1894,8 @@ let daemon_cell ~transport ~conns ~pipeline ~service_s ~duration_s ~input
     | "tcp" -> Dproto.Tcp ("127.0.0.1", 0)
     | _ -> Dproto.Unix_socket (Filename.concat dir "bench.sock")
   in
-  let handle = Dm.spawn ~config:(daemon_config listen) () in
+  let handle = Dm.spawn ~config:(daemon_config ~service_s listen) () in
   Fun.protect ~finally:(fun () -> ignore (Dm.stop handle)) @@ fun () ->
-  daemon_warm handle.Dm.address input;
   let config =
     {
       Dload.default_config with
@@ -1899,7 +1905,6 @@ let daemon_cell ~transport ~conns ~pipeline ~service_s ~duration_s ~input
       duration_s;
       sites = daemon_sites input;
       zipf_exponent = 1.1;
-      fault = Tabseg_gateway.Wire.Sleep_s service_s;
       expected;
     }
   in
@@ -1947,7 +1952,9 @@ let daemon_quota_cell ~retry ~quota_rps ~rate ~burst_s ~drain_s ~input
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let listen = Dproto.Unix_socket (Filename.concat dir "bench.sock") in
   let handle =
-    Dm.spawn ~config:(daemon_config ~site_quota:quota_rps listen) ()
+    Dm.spawn
+      ~config:(daemon_config ~site_quota:quota_rps ~service_s:0. listen)
+      ()
   in
   Fun.protect ~finally:(fun () -> ignore (Dm.stop handle)) @@ fun () ->
   let config =
@@ -2024,10 +2031,7 @@ let daemon_bench ?(json = false) () =
     (service_s *. 1000.) duration_s
     (Array.length daemon_labels);
   let input = overload_input () in
-  let reference =
-    List.hd
-      (gateway_reference [ { Serve.Service.id = "ref"; site = "ref"; input } ])
-  in
+  let reference = modeled_reference input in
   let expected = daemon_expected reference in
   let points =
     List.map
@@ -2086,14 +2090,11 @@ let daemon_smoke () =
   section
     "Daemon smoke: 8 connections, byte-identical replies, clean drain";
   let input = overload_input () in
-  let reference =
-    List.hd
-      (gateway_reference [ { Serve.Service.id = "ref"; site = "ref"; input } ])
-  in
+  let reference = modeled_reference input in
   let dir = temp_store_dir "tabseg_daemon" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let listen = Dproto.Unix_socket (Filename.concat dir "smoke.sock") in
-  let handle = Dm.spawn ~config:(daemon_config listen) () in
+  let handle = Dm.spawn ~config:(daemon_config ~service_s:0.002 listen) () in
   let ok = ref true in
   let fail fmt =
     Printf.ksprintf
@@ -2109,7 +2110,6 @@ let daemon_smoke () =
         | 0 -> ()
         | code -> fail "daemon exited %d after SIGTERM (want 0)" code)
     @@ fun () ->
-    daemon_warm handle.Dm.address input;
     let config =
       {
         Dload.default_config with
@@ -2119,7 +2119,6 @@ let daemon_smoke () =
         duration_s = 1.0;
         sites = daemon_sites input;
         zipf_exponent = 1.1;
-        fault = Tabseg_gateway.Wire.Sleep_s 0.002;
         expected = daemon_expected reference;
       }
     in

@@ -1053,13 +1053,6 @@ let loadgen_cmd =
     Arg.(
       value & opt (some string) None & info [ "auth-token" ] ~doc ~docv:"TOKEN")
   in
-  let service_ms_arg =
-    let doc =
-      "Attach a sleep fault of this many milliseconds to every request \
-       — models service time without burning CPU."
-    in
-    Arg.(value & opt float 0. & info [ "service-ms" ] ~doc ~docv:"MS")
-  in
   let retry_arg =
     let doc =
       "Honour the retry-after hint in quota rejections: re-submit after \
@@ -1101,7 +1094,7 @@ let loadgen_cmd =
     Arg.(value & flag & info [ "stream" ] ~doc)
   in
   let run method_ address connections rate pipeline duration site_names zipf
-      seed auth_token service_ms retry max_retries verify corpus corpus_seed
+      seed auth_token retry max_retries verify corpus corpus_seed
       stream =
     let sites =
       if corpus > 0 then begin
@@ -1170,10 +1163,6 @@ let loadgen_cmd =
         auth_token;
         sites;
         zipf_exponent = zipf;
-        fault =
-          (if service_ms > 0. then
-             Tabseg_gateway.Wire.Sleep_s (service_ms /. 1000.)
-           else Tabseg_gateway.Wire.No_fault);
         retry_quota = retry;
         max_retries;
         expected;
@@ -1222,7 +1211,7 @@ let loadgen_cmd =
     Term.(
       const run $ method_arg $ connect_arg $ conns_arg $ rate_arg
       $ pipeline_arg $ duration_arg $ sites_arg $ zipf_arg $ seed_arg
-      $ auth_arg $ service_ms_arg $ retry_arg $ max_retries_arg $ verify_arg
+      $ auth_arg $ retry_arg $ max_retries_arg $ verify_arg
       $ corpus_arg $ corpus_seed_arg $ stream_arg)
 
 let () =

@@ -140,13 +140,13 @@ let connect ?(client = "client") ?auth_token address =
 let window t = t.srv_window
 let server_pid t = t.srv_pid
 
-let send_submit t ?(fault = Wire.No_fault) request =
+let send_submit t request =
   if t.closed then Error Connection_closed
   else begin
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     match
-      write_frame t (Protocol.encode (Protocol.Submit { seq; request; fault }))
+      write_frame t (Protocol.encode (Protocol.Submit { seq; request }))
     with
     | Ok () -> Ok seq
     | Error e -> Error e
@@ -160,8 +160,8 @@ let read_reply t =
     | Ok _ -> Error (Protocol_failure "expected a Reply frame")
     | Error e -> Error e
 
-let submit t ?fault request =
-  match send_submit t ?fault request with
+let submit t request =
+  match send_submit t request with
   | Error e -> Error e
   | Ok seq -> (
     match read_reply t with
@@ -170,14 +170,13 @@ let submit t ?fault request =
       if got = seq then Ok reply
       else Error (Protocol_failure "reply out of order"))
 
-let submit_stream t ?(fault = Wire.No_fault) ~on_record request =
+let submit_stream t ~on_record request =
   if t.closed then Error Connection_closed
   else begin
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     match
-      write_frame t
-        (Protocol.encode (Protocol.Submit_stream { seq; request; fault }))
+      write_frame t (Protocol.encode (Protocol.Submit_stream { seq; request }))
     with
     | Error e -> Error e
     | Ok () ->
@@ -200,7 +199,7 @@ let submit_stream t ?(fault = Wire.No_fault) ~on_record request =
       loop ()
   end
 
-let submit_all t ?window:win ?(fault = fun _ -> Wire.No_fault) requests =
+let submit_all t ?window:win requests =
   let win = max 1 (Option.value win ~default:t.srv_window) in
   let replies = ref [] in
   let outstanding = Queue.create () in
@@ -218,7 +217,7 @@ let submit_all t ?window:win ?(fault = fun _ -> Wire.No_fault) requests =
     | [] -> Ok ()
     | request :: rest -> (
       let next () =
-        match send_submit t ~fault:(fault request) request with
+        match send_submit t request with
         | Error e -> Error e
         | Ok seq ->
           Queue.push seq outstanding;

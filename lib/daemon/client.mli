@@ -44,15 +44,11 @@ val window : t -> int
 val server_pid : t -> int
 
 val submit :
-  t ->
-  ?fault:Tabseg_gateway.Wire.fault ->
-  Tabseg_serve.Service.request ->
-  (Protocol.reply, error) result
+  t -> Tabseg_serve.Service.request -> (Protocol.reply, error) result
 (** One request, blocking until its reply. *)
 
 val submit_stream :
   t ->
-  ?fault:Tabseg_gateway.Wire.fault ->
   on_record:(int -> Tabseg.Segmentation.record -> unit) ->
   Tabseg_serve.Service.request ->
   (Protocol.reply, error) result
@@ -68,7 +64,6 @@ val submit_stream :
 val submit_all :
   t ->
   ?window:int ->
-  ?fault:(Tabseg_serve.Service.request -> Tabseg_gateway.Wire.fault) ->
   Tabseg_serve.Service.request list ->
   (Protocol.reply list, error) result
 (** Pipelined: keep up to [window] (default {!window}[ t]) requests
@@ -77,11 +72,7 @@ val submit_all :
     the excess is refused in-order with [Gateway_overloaded], which is
     exactly how the limit is tested. *)
 
-val send_submit :
-  t ->
-  ?fault:Tabseg_gateway.Wire.fault ->
-  Tabseg_serve.Service.request ->
-  (int, error) result
+val send_submit : t -> Tabseg_serve.Service.request -> (int, error) result
 (** Write one [Submit] frame without waiting; returns its seq. *)
 
 val read_reply : t -> (int * Protocol.reply, error) result

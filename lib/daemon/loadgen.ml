@@ -1,4 +1,3 @@
-module Wire = Tabseg_gateway.Wire
 module Conn = Tabseg_gateway.Conn
 module Gateway = Tabseg_gateway.Gateway
 module Service = Tabseg_serve.Service
@@ -18,7 +17,6 @@ type config = {
   client : string;
   sites : (string * Tabseg.Pipeline.input) array;
   zipf_exponent : float;
-  fault : Wire.fault;
   retry_quota : bool;
   max_retries : int;
   expected : (string * string) list;
@@ -37,7 +35,6 @@ let default_config =
     client = "loadgen";
     sites = [||];
     zipf_exponent = 0.;
-    fault = Wire.No_fault;
     retry_quota = false;
     max_retries = 3;
     expected = [];
@@ -362,10 +359,8 @@ let run cfg =
             in
             Conn.send conn.l_chan
               (Protocol.encode
-                 (if cfg.stream then
-                    Protocol.Submit_stream
-                      { seq; request; fault = cfg.fault }
-                  else Protocol.Submit { seq; request; fault = cfg.fault }))
+                 (if cfg.stream then Protocol.Submit_stream { seq; request }
+                  else Protocol.Submit { seq; request }))
           done
         end
       in

@@ -41,9 +41,6 @@ type config = {
       (** the site universe; at least one *)
   zipf_exponent : float;
       (** skew across [sites]: 0 = uniform, paper-style traffic ≈ 1 *)
-  fault : Tabseg_gateway.Wire.fault;
-      (** attached to every Submit — [Sleep_s] models service time
-          without burning bench CPU *)
   retry_quota : bool;  (** honour [retry_after_s] (default behaviour off) *)
   max_retries : int;  (** retry budget per request (default 3) *)
   expected : (string * string) list;

@@ -47,12 +47,8 @@ type message =
   | Hello of { client : string; token : string option }
   | Welcome of { server_pid : int; procs : int; max_conn_inflight : int }
   | Rejected of { reason : string }
-  | Submit of { seq : int; request : Service.request; fault : Wire.fault }
-  | Submit_stream of {
-      seq : int;
-      request : Service.request;
-      fault : Wire.fault;
-    }
+  | Submit of { seq : int; request : Service.request }
+  | Submit_stream of { seq : int; request : Service.request }
   | Reply of { seq : int; reply : reply }
   | Reply_record of {
       seq : int;

@@ -65,18 +65,10 @@ type message =
   | Rejected of { reason : string }
       (** handshake refused (bad token, server full); the server closes
           after sending *)
-  | Submit of {
-      seq : int;
-      request : Tabseg_serve.Service.request;
-      fault : Tabseg_gateway.Wire.fault;
-          (** test surface, same as worker RPC; honoured only behind
-              the handshake *)
-    }
-  | Submit_stream of {
-      seq : int;
-      request : Tabseg_serve.Service.request;
-      fault : Tabseg_gateway.Wire.fault;
-    }
+  | Submit of { seq : int; request : Tabseg_serve.Service.request }
+      (** the input and nothing else: no field lets a client choose how
+          long the server sleeps or what it touches on disk *)
+  | Submit_stream of { seq : int; request : Tabseg_serve.Service.request }
       (** like [Submit], but the server answers with zero or more
           {!Reply_record}s before the terminal {!Reply}. The in-order
           contract extends naturally: record frames for a stream only

@@ -104,7 +104,6 @@ type slot = {
 type pending = {
   p_seq : int;
   p_request : Service.request;
-  p_fault : Wire.fault;
   p_slot : int;
   p_deadline : float option;  (* absolute *)
   p_submitted : float;
@@ -559,32 +558,25 @@ let enqueue_frame conn frame seq =
   | Some seq -> Conn.send ~tag:seq conn.c_chan frame
   | None -> Conn.send conn.c_chan frame
 
+(* Commit [pending]'s frame to the live worker of its slot; the frame
+   type follows from whether the caller streams. *)
+let dispatch forked conn pending =
+  let seq = pending.p_seq and request = pending.p_request in
+  let frame =
+    match pending.p_on_record with
+    | None -> Wire.Request { seq; request }
+    | Some _ -> Wire.Stream_request { seq; request }
+  in
+  enqueue_frame conn (Wire.encode frame) (Some seq);
+  track_dispatch forked pending.p_slot seq
+
 (* Push the (re)dispatchable frames of every unresolved pending request
    assigned to a now-live slot. Called right after a fork. *)
 let dispatch_pending_to forked index conn =
   Hashtbl.iter
     (fun _ pending ->
-      if pending.p_slot = index && pending.p_outcome = None then begin
-        let frame =
-          match pending.p_on_record with
-          | None ->
-            Wire.Request
-              {
-                seq = pending.p_seq;
-                request = pending.p_request;
-                fault = pending.p_fault;
-              }
-          | Some _ ->
-            Wire.Stream_request
-              {
-                seq = pending.p_seq;
-                request = pending.p_request;
-                fault = pending.p_fault;
-              }
-        in
-        enqueue_frame conn (Wire.encode frame) (Some pending.p_seq);
-        track_dispatch forked index pending.p_seq
-      end)
+      if pending.p_slot = index && pending.p_outcome = None then
+        dispatch forked conn pending)
     forked.pending
 
 (* A worker's socket went dead: close it, account the death, schedule a
@@ -654,16 +646,12 @@ let handle_message t forked slot conn = function
     Metrics.set
       (worker_gauge t slot "pool_queue_capacity")
       (float_of_int queue_capacity)
-  | Wire.Pong { token; inflight; queue_depth } ->
-    (match conn.c_ping with
+  | Wire.Pong token -> (
+    match conn.c_ping with
     | Some (expected, _) when expected = token ->
       (* A heartbeat answer, not a health probe's: just clear it. *)
       conn.c_ping <- None
-    | _ -> Hashtbl.replace forked.pongs token ());
-    Metrics.set (worker_gauge t slot "pool_inflight") (float_of_int inflight);
-    Metrics.set
-      (worker_gauge t slot "pool_queue_depth")
-      (float_of_int queue_depth)
+    | _ -> Hashtbl.replace forked.pongs token ())
   | Wire.Response { seq; response } | Wire.Stream_done { seq; response } -> (
     untrack_dispatch forked seq;
     match Hashtbl.find_opt forked.pending seq with
@@ -824,7 +812,6 @@ let step ?(max_wait_s = infinity) t forked =
   heartbeat t forked;
   expire_deadlines t forked;
   reap forked;
-  publish_worker_gauges t forked;
   let delivered = deliver_resolved forked in
   let conns =
     Array.to_list forked.slots
@@ -857,7 +844,9 @@ let step ?(max_wait_s = infinity) t forked =
             read_step t forked slot conn
         | _ -> () (* the write step already declared it dead *))
       conns);
-  ignore (deliver_resolved forked)
+  ignore (deliver_resolved forked);
+  (* after the reads, so the gauges hold the backlog this turn left *)
+  publish_worker_gauges t forked
 
 (* --------------------------- the public API ------------------------- *)
 
@@ -868,8 +857,7 @@ let step ?(max_wait_s = infinity) t forked =
    back from a later [pump]/[run_batch] event-loop turn. This is the
    seam the network daemon drives: it never wants a batch barrier, just
    a stream of completions it can order per client connection. *)
-let submit_common t ?(fault = Wire.No_fault) ?on_record ~on_complete
-    (request : Service.request) =
+let submit_common t ?on_record ~on_complete (request : Service.request) =
   if t.g_draining || t.shut then on_complete (refusal t request Draining)
   else
     match t.mode with
@@ -877,9 +865,6 @@ let submit_common t ?(fault = Wire.No_fault) ?on_record ~on_complete
       match quota_admit t request with
       | Error error -> on_complete (refusal t request error)
       | Ok () ->
-        (match fault with
-        | Wire.Sleep_s s when s > 0. -> Wire.sleep_s s
-        | _ -> ());
         Metrics.incr t.m_total;
         let started = now () in
         let response =
@@ -929,7 +914,6 @@ let submit_common t ?(fault = Wire.No_fault) ?on_record ~on_complete
               {
                 p_seq = seq;
                 p_request = request;
-                p_fault = fault;
                 p_slot = slot_index;
                 p_deadline = Option.map (fun d -> now () +. d) t.cfg.deadline_s;
                 p_submitted = now ();
@@ -943,16 +927,7 @@ let submit_common t ?(fault = Wire.No_fault) ?on_record ~on_complete
             in
             Hashtbl.replace forked.pending seq pending;
             match forked.slots.(pending.p_slot).s_state with
-            | Live conn ->
-              let frame =
-                match on_record with
-                | None ->
-                  Wire.Request { seq; request; fault = pending.p_fault }
-                | Some _ ->
-                  Wire.Stream_request { seq; request; fault = pending.p_fault }
-              in
-              enqueue_frame conn (Wire.encode frame) (Some seq);
-              track_dispatch forked pending.p_slot seq
+            | Live conn -> dispatch forked conn pending
             | Restarting _ -> () (* dispatched when the fork lands *)
             | Failed ->
               resolve t forked pending
@@ -963,17 +938,16 @@ let submit_common t ?(fault = Wire.No_fault) ?on_record ~on_complete
                   latency_s = 0.;
                 })))
 
-let submit t ?fault ~on_complete request =
-  submit_common t ?fault ~on_complete request
+let submit t ~on_complete request = submit_common t ~on_complete request
 
 (* Streams run the same admission ladder as [submit]; the only
    differences live downstream: records reach [on_record] as frames
    arrive (before [on_complete]), and a worker that dies after its
    first frame fails the stream instead of re-dispatching — replaying
    would duplicate records the caller has already consumed. *)
-let submit_stream t ?fault ~on_record ~on_complete request =
+let submit_stream t ~on_record ~on_complete request =
   Metrics.incr t.m_stream_total;
-  submit_common t ?fault ~on_record ~on_complete request
+  submit_common t ~on_record ~on_complete request
 
 let inflight t =
   match t.mode with
@@ -1008,14 +982,14 @@ let next_timer_in t =
   | Forked forked ->
     if Queue.is_empty forked.resolved then next_event_in t forked else 0.
 
-let run_batch t ?(fault = fun _ -> Wire.No_fault) requests =
+let run_batch t requests =
   if requests = [] then []
   else begin
     let total = List.length requests in
     let responses = Array.make total None in
     List.iteri
       (fun pos (request : Service.request) ->
-        submit t ~fault:(fault request)
+        submit t
           ~on_complete:(fun response -> responses.(pos) <- Some response)
           request)
       requests;
@@ -1025,8 +999,7 @@ let run_batch t ?(fault = fun _ -> Wire.No_fault) requests =
       let unresolved () = Array.exists Option.is_none responses in
       while unresolved () do
         step t forked
-      done;
-      publish_worker_gauges t forked);
+      done);
     Array.to_list responses
     |> List.map (function Some r -> r | None -> assert false)
   end

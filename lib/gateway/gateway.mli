@@ -118,7 +118,10 @@ val metrics : t -> Tabseg_serve.Metrics.t
     [gateway.turnaround_seconds] histograms. *)
 
 val worker_pids : t -> int list
-(** Live worker pids, slot order. Empty inline. *)
+(** Live worker pids, slot order. Empty inline. A test or bench
+    crashes a worker by killing one of these pids while it holds a
+    request: supervision sees the socket close, exactly as for a real
+    crash. *)
 
 val worker_roles : t -> (int * string) list
 (** [(pid, store role)] per live worker, slot order — the role each
@@ -139,7 +142,6 @@ val worker_roles : t -> (int * string) list
 
 val submit :
   t ->
-  ?fault:Wire.fault ->
   on_complete:(response -> unit) ->
   Tabseg_serve.Service.request ->
   unit
@@ -152,7 +154,6 @@ val submit :
 
 val submit_stream :
   t ->
-  ?fault:Wire.fault ->
   on_record:(int -> Tabseg.Segmentation.record -> unit) ->
   on_complete:(response -> unit) ->
   Tabseg_serve.Service.request ->
@@ -200,15 +201,11 @@ val set_fork_hook : t -> (unit -> Unix.file_descr list) -> unit
     child. No-op inline. *)
 
 val run_batch :
-  t ->
-  ?fault:(Tabseg_serve.Service.request -> Wire.fault) ->
-  Tabseg_serve.Service.request list ->
-  response list
+  t -> Tabseg_serve.Service.request list -> response list
 (** Dispatch a batch across the workers and block until every request
     resolved (responded, expired, refused or lost). Responses are in
-    request order. [fault] attaches a fault-injection knob per request
-    (tests only; inline mode ignores crash faults and honours sleeps).
-    Implemented as [submit] per request + {!pump} to completion. *)
+    request order. Implemented as [submit] per request + {!pump} to
+    completion. *)
 
 val health : t -> (int * bool) list
 (** Ping every live worker and report [(pid, responded within the

@@ -14,8 +14,12 @@ module Crc32 = Tabseg_store.Crc32
    oversized length header is the typed Frame_too_large error (not a
    CRC mismatch), and the cap dropped to 128 MiB. Both ends must agree
    on the cap or one side's legal frame is the other side's attack, so
-   the change is a version bump. *)
-let protocol_version = 4
+   the change is a version bump.
+   v5: Request and Stream_request (and the daemon's Submit and
+   Submit_stream) carry no fault field: nothing a peer sends chooses a
+   sleep or a path. Pong carries only its token: a worker reads a Ping
+   only between requests, so it has no live load to report. *)
+let protocol_version = 5
 let magic = "TSGW"
 let header_size = 16 (* magic + version + crc + length *)
 
@@ -25,16 +29,11 @@ let header_size = 16 (* magic + version + crc + length *)
    daemon edge on its listener. *)
 let max_payload = 1 lsl 27
 
-type fault =
-  | No_fault
-  | Sleep_s of float
-  | Crash_if_exists of string
-
 type message =
   | Hello of { pid : int; role : string; jobs : int; queue_capacity : int }
-  | Request of { seq : int; request : Service.request; fault : fault }
+  | Request of { seq : int; request : Service.request }
   | Response of { seq : int; response : Service.response }
-  | Stream_request of { seq : int; request : Service.request; fault : fault }
+  | Stream_request of { seq : int; request : Service.request }
   | Record_frame of {
       seq : int;
       index : int;  (** 0-based frame index within the stream *)
@@ -42,7 +41,7 @@ type message =
     }
   | Stream_done of { seq : int; response : Service.response }
   | Ping of int
-  | Pong of { token : int; inflight : int; queue_depth : int }
+  | Pong of int
   | Shutdown
 
 type decode_error =

@@ -30,35 +30,19 @@ val max_payload : int
     [Frame_too_large] error, and the connection is abandoned like any
     other framing failure. *)
 
-(** Fault-injection knobs carried inside a request — the supervision
-    test surface. Workers obey them {e before} touching the service, so
-    a fault exercises exactly the gateway's recovery path. *)
-type fault =
-  | No_fault
-  | Sleep_s of float  (** stall this long before serving (latency skew) *)
-  | Crash_if_exists of string
-      (** if [path] exists: delete it, then [_exit] without replying.
-          Deleting first makes the crash one-shot — the re-dispatched
-          request survives on the replacement worker. A {e directory}
-          at [path] cannot be deleted this way, so it crashes every
-          worker it reaches: the permanent-failure case. *)
-
 type message =
   | Hello of { pid : int; role : string; jobs : int; queue_capacity : int }
       (** first message a worker sends; [role] is the store role it got
           ("writer", "reader" or "none"), [jobs] and [queue_capacity]
           the static capacity of its in-process pool *)
-  | Request of {
-      seq : int;
-      request : Tabseg_serve.Service.request;
-      fault : fault;
-    }
+  | Request of { seq : int; request : Tabseg_serve.Service.request }
+      (** A request carries its input and nothing else: no message
+          chooses how long a worker sleeps or names a path for it.
+          Tests and benches crash a worker by killing it ([Unix.kill]
+          on a pid from {!Gateway.worker_pids}) and model service time
+          with {!Tabseg_serve.Service.config.simulated_fetch_s}. *)
   | Response of { seq : int; response : Tabseg_serve.Service.response }
-  | Stream_request of {
-      seq : int;
-      request : Tabseg_serve.Service.request;
-      fault : fault;
-    }
+  | Stream_request of { seq : int; request : Tabseg_serve.Service.request }
       (** like [Request], but the worker answers with zero or more
           [Record_frame]s — one per record, as its detail evidence
           completes — followed by exactly one [Stream_done]. Frames of
@@ -73,9 +57,10 @@ type message =
       (** terminal frame of a stream: the full response, byte-identical
           to what [Request] would have returned *)
   | Ping of int
-  | Pong of { token : int; inflight : int; queue_depth : int }
-      (** echoes the ping's [token] and reports the worker pool's live
-          load — the master's view of a worker it cannot inspect *)
+  | Pong of int
+      (** echoes the ping's token. A worker reads a Ping only between
+          requests, so a Pong reports liveness, not load: the master
+          keeps its own per-worker backlog for spill and shed. *)
   | Shutdown  (** master → worker: finish up and exit cleanly *)
 
 type decode_error =

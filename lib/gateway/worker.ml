@@ -7,32 +7,6 @@ module Store = Tabseg_store.Store
    interactive latency; long enough to cost nothing. *)
 let maintenance_interval_s = 0.2
 
-let apply_fault = function
-  | Wire.No_fault -> ()
-  | Wire.Sleep_s s -> if s > 0. then Wire.sleep_s s
-  | Wire.Crash_if_exists path ->
-    if
-      Sys.file_exists path
-      [@tabseg.allow "tainted-string-sink"
-          "fault-injection test surface: the fault arrives over the \
-           trusted master<->worker socketpair (forks of this binary), \
-           and the daemon edge only honours faults behind its \
-           authenticated handshake"]
-    then begin
-      (* Remove the marker first: the crash is one-shot, so the same
-         request re-dispatched to our replacement succeeds — unless the
-         marker is a directory, which [Sys.remove] cannot take, making
-         the crash permanent. Both cases are exactly what the
-         supervision tests need. *)
-      (try
-         Sys.remove path
-         [@tabseg.allow "tainted-string-sink"
-             "fault-injection test surface, same trust boundary as the \
-              Sys.file_exists check above"]
-       with Sys_error _ -> ());
-      Unix._exit 97
-    end
-
 let store_role service =
   match Service.store_stats service with
   | Some stats -> (
@@ -54,12 +28,10 @@ let run ~socket ~config =
        });
   let stop = ref false in
   let handle = function
-    | Wire.Request { seq; request; fault } ->
-      apply_fault fault;
+    | Wire.Request { seq; request } ->
       let response = Service.segment_one service request in
       Wire.write_message socket (Wire.Response { seq; response })
-    | Wire.Stream_request { seq; request; fault } ->
-      apply_fault fault;
+    | Wire.Stream_request { seq; request } ->
       (* Frames go out as the engine emits them — the master relays them
          to its caller before this worker has finished the request. *)
       let index = ref 0 in
@@ -72,17 +44,7 @@ let run ~socket ~config =
           request
       in
       Wire.write_message socket (Wire.Stream_done { seq; response })
-    | Wire.Ping token ->
-      (* The Pong doubles as a load report: the master cannot inspect a
-         forked worker's pool, so the live depth rides the heartbeat. *)
-      let pstats = Service.pool_stats service in
-      Wire.write_message socket
-        (Wire.Pong
-           {
-             token;
-             inflight = pstats.Pool.inflight;
-             queue_depth = pstats.Pool.queue_depth;
-           })
+    | Wire.Ping token -> Wire.write_message socket (Wire.Pong token)
     | Wire.Shutdown -> stop := true
     | Wire.Hello _ | Wire.Response _ | Wire.Record_frame _
     | Wire.Stream_done _ | Wire.Pong _ ->

@@ -10,10 +10,9 @@
     fleet is idle.
 
     Exit codes: 0 clean (socket EOF or {!Wire.Shutdown}), 96 protocol
-    error on the socket, 97 injected crash ({!Wire.Crash_if_exists}),
-    98 unexpected exception. *)
+    error on the socket, 98 unexpected exception. *)
 
 val run : socket:Unix.file_descr -> config:Tabseg_serve.Service.config -> unit
 (** Serve until EOF or [Shutdown], then release the service (closing
     its store and its writer lock) and return. Only ever called in a
-    forked child; crash faults [_exit] directly. *)
+    forked child. *)

@@ -26,7 +26,12 @@ type config = {
   simulated_fetch_s : float;
       (** benchmark knob: sleep this long per cache-missing request to
           model the network fetch a live deployment would perform
-          (cache hits serve from the cache and skip it). Default 0. *)
+          (cache hits serve from the cache and skip it). Default 0.
+          It is also how tests and benches model service time and
+          stalls behind the gateway and the daemon: with
+          [cache = None] every request pays it, and a warmed memo lets
+          chosen requests skip it. Nothing a request carries can ask
+          for a sleep. *)
 }
 
 val default_config : config

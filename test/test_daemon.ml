@@ -46,8 +46,8 @@ let render_reply (reply : Protocol.reply) =
     Format.asprintf "%a" Tabseg.Segmentation.pp result.Tabseg.Api.segmentation
   | Error error -> "ERROR: " ^ Gw.error_message error
 
-let request id =
-  { Service.id; site = "daemon-test"; input = Lazy.force small_input }
+let request ?(site = "daemon-test") id =
+  { Service.id; site; input = Lazy.force small_input }
 
 let sample_record =
   lazy
@@ -68,7 +68,7 @@ let temp_sock =
       (Printf.sprintf "tabseg_dm_%d_%d.sock" (Unix.getpid ()) !counter)
 
 let daemon_config ?(procs = 1) ?auth_token ?idle_timeout_s ?(inflight = 32)
-    ?site_quota () =
+    ?site_quota ?(service = Service.default_config) () =
   {
     Daemon.default_config with
     Daemon.listen = Protocol.Unix_socket (temp_sock ());
@@ -76,7 +76,17 @@ let daemon_config ?(procs = 1) ?auth_token ?idle_timeout_s ?(inflight = 32)
     idle_timeout_s;
     max_conn_inflight = inflight;
     gateway =
-      { Gw.default_config with Gw.procs; site_quota_rps = site_quota };
+      { Gw.default_config with Gw.procs; site_quota_rps = site_quota; service };
+  }
+
+(* Workers that sleep [fetch_s] inside every request: with no cache, no
+   memo hit skips the sleep. This is how these tests keep a request in
+   flight; nothing a client sends can. *)
+let slow_service fetch_s =
+  {
+    Service.default_config with
+    Service.cache = None;
+    simulated_fetch_s = fetch_s;
   }
 
 let with_daemon config f =
@@ -89,8 +99,8 @@ let connect_exn ?client ?auth_token address =
   | Ok c -> c
   | Error e -> Alcotest.fail (Client.connect_error_message e)
 
-let submit_exn client ?fault req =
-  match Client.submit client ?fault req with
+let submit_exn client req =
+  match Client.submit client req with
   | Ok reply -> reply
   | Error e -> Alcotest.fail (Client.error_message e)
 
@@ -123,10 +133,8 @@ let test_message_roundtrip () =
       Protocol.Hello { client = "t"; token = Some "secret" };
       Protocol.Welcome { server_pid = 1; procs = 2; max_conn_inflight = 32 };
       Protocol.Rejected { reason = "bad auth token" };
-      Protocol.Submit
-        { seq = 3; request = request "r3"; fault = GWire.Sleep_s 0.5 };
-      Protocol.Submit_stream
-        { seq = 4; request = request "r4"; fault = GWire.No_fault };
+      Protocol.Submit { seq = 3; request = request "r3" };
+      Protocol.Submit_stream { seq = 4; request = request "r4" };
       Protocol.Reply_record
         { seq = 4; index = 0; record = Lazy.force sample_record };
       Protocol.Stats_request;
@@ -242,9 +250,7 @@ let test_idle_timeout_trickle () =
   | Protocol.Welcome _ -> ()
   | _ -> Alcotest.fail "expected Welcome");
   let frame =
-    Protocol.encode
-      (Protocol.Submit
-         { seq = 0; request = request "trickle"; fault = GWire.No_fault })
+    Protocol.encode (Protocol.Submit { seq = 0; request = request "trickle" })
   in
   (* 8 pieces 0.1 s apart: 0.7 s for the frame, no gap near 0.3 s. *)
   let pieces = 8 and len = String.length frame in
@@ -262,19 +268,71 @@ let test_idle_timeout_trickle () =
 (* ------------------------ ordering and limits ----------------------- *)
 
 let test_pipelined_inorder_under_skew () =
-  with_daemon (daemon_config ~procs:2 ()) @@ fun handle ->
+  (* A slow head and a fast tail on different workers: at procs=2 the
+     two site labels below have different home workers. The workers
+     sleep inside every request they have not served yet, so a warm-up
+     request leaves the fast site's input in its worker's memo while the
+     head, new to its own worker, sleeps. Every fast reply resolves
+     while the head still runs, and strict ordering parks it. *)
+  with_daemon
+    (daemon_config ~procs:2
+       ~service:
+         { Service.default_config with Service.simulated_fetch_s = 0.8 }
+       ())
+  @@ fun handle ->
   let client = connect_exn handle.Daemon.address in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-  let requests = List.init 6 (fun i -> request (Printf.sprintf "skew-%d" i)) in
-  (* The first request sleeps; the rest are instant. Strict ordering
-     means every fast reply parks behind the slow head. *)
-  let fault (r : Service.request) =
-    if r.Service.id = "skew-0" then GWire.Sleep_s 0.3 else GWire.No_fault
+  let observer = connect_exn ~client:"observer" handle.Daemon.address in
+  Fun.protect ~finally:(fun () ->
+      Client.close client;
+      Client.close observer)
+  @@ fun () ->
+  ignore (submit_exn client (request ~site:"skew-fast-site" "warm-up"));
+  let requests =
+    request ~site:"skew-slow-site" "skew-0"
+    :: List.init 5 (fun i ->
+           request ~site:"skew-fast-site" (Printf.sprintf "skew-%d" (i + 1)))
   in
+  List.iter
+    (fun r ->
+      match Client.send_submit client r with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Client.error_message e))
+    requests;
+  (* The observer's Stats, while the head runs: the fast requests have
+     resolved at the gateway, none of their replies has been written,
+     and the head holds its worker while the other worker is idle. *)
+  let stat stats name = int_of_float (List.assoc name stats) in
+  let rec while_head_runs tries =
+    let stats =
+      match Client.stats observer with
+      | Ok stats -> stats
+      | Error e -> Alcotest.fail (Client.error_message e)
+    in
+    if stat stats "gateway.requests_ok" >= 6 then stats
+    else if tries = 0 then Alcotest.fail "the fast requests never resolved"
+    else begin
+      GWire.sleep_s 0.005;
+      while_head_runs (tries - 1)
+    end
+  in
+  let stats = while_head_runs 2000 in
+  check_int "warm-up and fast requests resolved, the head not" 6
+    (stat stats "gateway.requests_ok");
+  check_int "only the warm-up's reply has been written" 1
+    (stat stats "daemon.replies");
+  check_bool "the head holds one worker, the fast requests left the other"
+    true
+    (List.sort compare
+       [ stat stats "gateway.worker0.inflight";
+         stat stats "gateway.worker1.inflight" ]
+    = [ 0; 1 ]);
   let replies =
-    match Client.submit_all client ~fault requests with
-    | Ok replies -> replies
-    | Error e -> Alcotest.fail (Client.error_message e)
+    List.map
+      (fun _ ->
+        match Client.read_reply client with
+        | Ok (_, reply) -> reply
+        | Error e -> Alcotest.fail (Client.error_message e))
+      requests
   in
   check_int "one reply per request" (List.length requests)
     (List.length replies);
@@ -290,7 +348,9 @@ let test_pipelined_inorder_under_skew () =
     replies
 
 let test_conn_inflight_limit () =
-  with_daemon (daemon_config ~procs:2 ~inflight:2 ()) @@ fun handle ->
+  with_daemon
+    (daemon_config ~procs:2 ~inflight:2 ~service:(slow_service 0.3) ())
+  @@ fun handle ->
   let client = connect_exn handle.Daemon.address in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   check_int "server advertises its window" 2 (Client.window client);
@@ -298,11 +358,7 @@ let test_conn_inflight_limit () =
   (* Push past the advertised window on purpose: the excess must come
      back as typed, in-order refusals carrying the window size. *)
   let replies =
-    match
-      Client.submit_all client ~window:5
-        ~fault:(fun _ -> GWire.Sleep_s 0.3)
-        requests
-    with
+    match Client.submit_all client ~window:5 requests with
     | Ok replies -> replies
     | Error e -> Alcotest.fail (Client.error_message e)
   in
@@ -380,10 +436,11 @@ let test_stream_roundtrip () =
 (* ------------------------- failure modes ---------------------------- *)
 
 let test_disconnect_mid_request () =
-  with_daemon (daemon_config ~procs:2 ()) @@ fun handle ->
+  with_daemon (daemon_config ~procs:2 ~service:(slow_service 0.4) ())
+  @@ fun handle ->
   (* Client A walks away from an in-flight request... *)
   let a = connect_exn ~client:"deserter" handle.Daemon.address in
-  (match Client.send_submit a ~fault:(GWire.Sleep_s 0.4) (request "orphan") with
+  (match Client.send_submit a (request "orphan") with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Client.error_message e));
   Client.close a;
@@ -490,14 +547,12 @@ let test_oversized_hello_rejected () =
     (int_of_float (List.assoc "daemon.hello_oversized" stats))
 
 let test_sigterm_drain () =
-  let config = daemon_config ~procs:2 () in
+  let config = daemon_config ~procs:2 ~service:(slow_service 0.4) () in
   let handle = Daemon.spawn ~config () in
   let client = connect_exn handle.Daemon.address in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   (* In-flight work before the signal... *)
-  (match
-     Client.send_submit client ~fault:(GWire.Sleep_s 0.4) (request "inflight")
-   with
+  (match Client.send_submit client (request "inflight") with
   | Ok seq -> check_int "first submit has seq 0" 0 seq
   | Error e -> Alcotest.fail (Client.error_message e));
   (* Writing the frame is not the same as the daemon having read it: if

@@ -68,6 +68,69 @@ let temp_path =
 let counter_value gateway name =
   Metrics.counter_value (Metrics.counter (Gateway.metrics gateway) name)
 
+(* Workers that sleep [fetch_s] inside every request: with no cache, no
+   memo hit skips the sleep. This is how the tests below model service
+   time and stalls; nothing a request carries can. *)
+let slow_service fetch_s =
+  {
+    Service.default_config with
+    Service.cache = None;
+    simulated_fetch_s = fetch_s;
+  }
+
+(* Pump until [ready ()] holds; a wait past [timeout] fails the test
+   instead of hanging it. *)
+let pump_until ?(timeout = 30.) gateway ready =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while not (ready ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "the gateway never reached the awaited state";
+    Gateway.pump ~max_wait_s:0.01 gateway
+  done
+
+(* [submit] every request; the array fills as they resolve. *)
+let submit_all gateway requests =
+  let responses = Array.make (List.length requests) None in
+  List.iteri
+    (fun i request ->
+      Gateway.submit gateway
+        ~on_complete:(fun response -> responses.(i) <- Some response)
+        request)
+    requests;
+  responses
+
+let resolved responses () = Array.for_all Option.is_some responses
+
+(* Crash a worker from outside, as a real crash happens: wait until the
+   master counts a backlog on a worker (every slot live), give the frames
+   time to reach it — the workers sleep inside each request — then
+   SIGKILL it and pump until supervision has noticed. Driven by submit +
+   pump on the test's own thread: no Domain may exist while the gateway
+   still forks. *)
+let kill_busy_worker gateway =
+  let busy () =
+    let pids = Gateway.worker_pids gateway in
+    if List.length pids < Gateway.procs gateway then []
+    else
+      List.filteri
+        (fun i _ ->
+          Metrics.gauge_value
+            (Metrics.gauge (Gateway.metrics gateway)
+               (Printf.sprintf "gateway.worker%d.inflight" i))
+          > 0.)
+        pids
+  in
+  pump_until gateway (fun () -> busy () <> []);
+  let settled = Unix.gettimeofday () +. 0.1 in
+  pump_until gateway (fun () -> Unix.gettimeofday () >= settled);
+  let victims = busy () in
+  List.iter (fun pid -> Unix.kill pid Sys.sigkill) victims;
+  pump_until gateway (fun () ->
+      not
+        (List.exists
+           (fun pid -> List.mem pid (Gateway.worker_pids gateway))
+           victims))
+
 (* ------------------------------ wire -------------------------------- *)
 
 let roundtrip message = Wire.decode (Wire.encode message)
@@ -77,7 +140,7 @@ let test_wire_roundtrip () =
     [
       Wire.Hello { pid = 4242; role = "writer"; jobs = 2; queue_capacity = 64 };
       Wire.Ping 7;
-      Wire.Pong { token = 7; inflight = 1; queue_depth = 3 };
+      Wire.Pong 7;
       Wire.Shutdown;
       Wire.Request
         {
@@ -92,7 +155,6 @@ let test_wire_roundtrip () =
                   detail_pages = [ "<html>y</html>" ];
                 };
             };
-          fault = Wire.Sleep_s 0.25;
         };
     ]
   in
@@ -209,8 +271,8 @@ let test_wire_frame_bytes () =
   in
   let frame = Wire.frame_payload "123456789" in
   check_int "header + payload" 25 (String.length frame);
-  check_string "header: magic, version 4, CRC-32, length"
-    "5453475700000004cbf4392600000009" (hex (String.sub frame 0 16));
+  check_string "header: magic, version 5, CRC-32, length"
+    "5453475700000005cbf4392600000009" (hex (String.sub frame 0 16));
   check_string "payload follows" "123456789" (String.sub frame 16 9)
 
 (* ------------------------- connection reader ------------------------ *)
@@ -352,17 +414,24 @@ let test_procs2_matches_sequential () =
 (* --------------------- in-order merge under skew -------------------- *)
 
 let test_inorder_merge_under_skew () =
-  let requests = requests_of [ "ButlerCounty"; "AlleghenyCounty" ] in
+  let butler = requests_of [ "ButlerCounty" ] in
+  let allegheny = requests_of [ "AlleghenyCounty" ] in
+  let requests = butler @ allegheny in
   let expected = sequential_reference requests in
-  (* Deterministic adversarial skew: each request sleeps a different
-     amount derived from its id, so workers finish far out of
-     submission order. *)
-  let skew (request : Service.request) =
-    Wire.Sleep_s (float_of_int (Hashtbl.hash request.Service.id mod 5) *. 0.02)
-  in
-  with_gateway { Gateway.default_config with Gateway.procs = 3 }
+  (* Deterministic adversarial skew: at procs=2 the two sites have
+     different home workers. The workers sleep inside every request
+     they have not served yet, and a warm-up leaves the later-submitted
+     site in its worker's result memo, so its replies come back while
+     the first site's worker still grinds: far out of submission
+     order. *)
+  with_gateway
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      service = { Service.default_config with Service.simulated_fetch_s = 0.08 }
+    }
   @@ fun gateway ->
-  let responses = Gateway.run_batch gateway ~fault:skew requests in
+  ignore (Gateway.run_batch gateway allegheny);
+  let responses = Gateway.run_batch gateway requests in
   check_int "every request answered" (List.length requests)
     (List.length responses);
   List.iteri
@@ -380,24 +449,20 @@ let test_inorder_merge_under_skew () =
 let test_worker_crash_recovery () =
   let requests = requests_of [ "ButlerCounty" ] in
   let expected = sequential_reference requests in
-  let marker = temp_path () ^ ".crash" in
-  let oc = open_out marker in
-  close_out oc;
-  Fun.protect ~finally:(fun () ->
-      if Sys.file_exists marker then Sys.remove marker)
-  @@ fun () ->
-  (* The marked request kills its worker mid-request; the marker is
-     deleted by the dying worker, so the single re-dispatch to the
-     restarted replacement must return the real result, not an error. *)
-  let poison = (List.hd requests).Service.id in
-  let fault (request : Service.request) =
-    if request.Service.id = poison then Wire.Crash_if_exists marker
-    else Wire.No_fault
-  in
+  (* The worker holding the site's requests is killed mid-request; the
+     single re-dispatch to the restarted replacement must return the
+     real result, not an error. *)
   with_gateway
-    { Gateway.default_config with Gateway.procs = 2; backoff_s = 0.01 }
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      backoff_s = 0.01;
+      service = { Service.default_config with Service.simulated_fetch_s = 0.3 }
+    }
   @@ fun gateway ->
-  let responses = Gateway.run_batch gateway ~fault requests in
+  let pending = submit_all gateway requests in
+  kill_busy_worker gateway;
+  pump_until gateway (resolved pending);
+  let responses = Array.to_list (Array.map Option.get pending) in
   List.iteri
     (fun i (response : Gateway.response) ->
       check_string
@@ -408,34 +473,30 @@ let test_worker_crash_recovery () =
     (counter_value gateway "gateway.worker_restarts" >= 1);
   check_bool "the request was re-dispatched exactly once" true
     (counter_value gateway "gateway.redispatches" >= 1);
-  check_bool "marker consumed by the dying worker" true
-    (not (Sys.file_exists marker));
   (* The fleet is healthy again afterwards. *)
   let healthy = Gateway.health gateway in
   check_int "both workers answer pings" 2
     (List.length (List.filter snd healthy))
 
 let test_worker_lost_is_typed () =
-  (* A directory marker cannot be deleted by the crashing worker, so
-     every dispatch of the poisoned request kills a worker: after the
-     one allowed re-dispatch the gateway must give up with a typed
-     Worker_lost, never hang or crash the master. *)
-  let marker = temp_path () ^ ".crashdir" in
-  Unix.mkdir marker 0o700;
-  Fun.protect ~finally:(fun () ->
-      if Sys.file_exists marker then Unix.rmdir marker)
-  @@ fun () ->
+  (* Every worker that takes the request is killed while it holds it:
+     after the one allowed re-dispatch the gateway must give up with a
+     typed Worker_lost, never hang or crash the master. *)
   let requests = [ List.hd (requests_of [ "ButlerCounty" ]) ] in
-  let fault _ = Wire.Crash_if_exists marker in
   with_gateway
     { Gateway.default_config with
       Gateway.procs = 2;
       max_restarts = 2;
-      backoff_s = 0.01
+      backoff_s = 0.01;
+      service = slow_service 1.0
     }
   @@ fun gateway ->
-  let responses = Gateway.run_batch gateway ~fault requests in
-  match responses with
+  let pending = submit_all gateway requests in
+  kill_busy_worker gateway;
+  (* the replacement is handed the re-dispatched request: kill it too *)
+  kill_busy_worker gateway;
+  pump_until gateway (resolved pending);
+  match Array.to_list (Array.map Option.get pending) with
   | [ { Gateway.outcome = Error (Gateway.Worker_lost _); _ } ] -> ()
   | [ response ] ->
     Alcotest.fail
@@ -447,12 +508,11 @@ let test_gateway_deadline () =
   with_gateway
     { Gateway.default_config with
       Gateway.procs = 2;
-      deadline_s = Some 0.05
+      deadline_s = Some 0.05;
+      service = slow_service 0.5
     }
   @@ fun gateway ->
-  let responses =
-    Gateway.run_batch gateway ~fault:(fun _ -> Wire.Sleep_s 0.5) requests
-  in
+  let responses = Gateway.run_batch gateway requests in
   (match responses with
   | [ { Gateway.outcome = Error Gateway.Deadline_exceeded; _ } ] -> ()
   | _ -> Alcotest.fail "expected Deadline_exceeded");
@@ -462,9 +522,9 @@ let test_gateway_deadline () =
 (* ------------------------ degradation ladder ------------------------ *)
 
 (* N copies of one site's first page: the worst case for static
-   affinity — every request has the same home worker. The duplicates
-   hit the worker's result cache after the first, so the injected
-   sleeps dominate and the timing assertions are stable. *)
+   affinity — every request has the same home worker. Under
+   [slow_service] every copy sleeps inside its worker, so the modeled
+   service time dominates and the timing assertions are stable. *)
 let hot_requests ~count =
   let base = List.hd (requests_of [ "ButlerCounty" ]) in
   List.init count (fun i ->
@@ -482,18 +542,13 @@ let test_spill_on_vs_off () =
   let expected = hot_reference () in
   let timed config =
     with_gateway config @@ fun gateway ->
-    (* Warm both workers' result caches first (with spill enabled the
-       warmup pair lands on both workers; without it both copies stay
-       home — where the timed batch runs too), so the timed comparison
-       measures queueing, not cold segmentation. *)
+    (* A warm-up pair first (with spill enabled it lands on both
+       workers; without it both copies stay home — where the timed
+       batch runs too), so no worker's first request is timed. *)
     ignore (Gateway.run_batch gateway (hot_requests ~count:2));
     let requests = hot_requests ~count:10 in
     let started = Unix.gettimeofday () in
-    let responses =
-      Gateway.run_batch gateway
-        ~fault:(fun _ -> Wire.Sleep_s 0.05)
-        requests
-    in
+    let responses = Gateway.run_batch gateway requests in
     let wall = Unix.gettimeofday () -. started in
     check_int "every hot request answered" (List.length requests)
       (List.length responses);
@@ -508,7 +563,12 @@ let test_spill_on_vs_off () =
       responses;
     (wall, counter_value gateway "gateway.spilled")
   in
-  let base = { Gateway.default_config with Gateway.procs = 2 } in
+  let base =
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      service = slow_service 0.05
+    }
+  in
   let wall_affinity, spilled_affinity = timed base in
   let wall_spill, spilled_spill =
     timed { base with Gateway.spill_threshold = Some 0 }
@@ -618,14 +678,12 @@ let test_shed_vs_queue_under_impossible_deadline () =
       { Gateway.default_config with
         Gateway.procs = 2;
         deadline_s = Some 0.25;
-        shed
+        shed;
+        service = slow_service 0.12
       }
     @@ fun gateway ->
-    let slow _ = Wire.Sleep_s 0.12 in
-    ignore (Gateway.run_batch gateway ~fault:slow (hot_requests ~count:6));
-    let responses =
-      Gateway.run_batch gateway ~fault:slow (hot_requests ~count:6)
-    in
+    ignore (Gateway.run_batch gateway (hot_requests ~count:6));
+    let responses = Gateway.run_batch gateway (hot_requests ~count:6) in
     (responses, counter_value gateway "gateway.shed")
   in
   let queued, shed_count_off = run ~shed:false in
@@ -650,23 +708,22 @@ let test_shed_vs_queue_under_impossible_deadline () =
   check_int "every backlogged request was shed at admission" 6 shed_count_on
 
 let test_ping_timeout_restarts_wedged_worker () =
-  (* A worker stuck in a 5 s stall never closes its socket, so the
-     EOF-based supervision alone would wait out the stall. The ping
-     deadline must SIGKILL it, restart through the backoff path, and —
-     when the replacement wedges on the re-dispatched request too —
-     give up with the typed Worker_lost. *)
+  (* A worker stuck in a 5 s stall inside the request never closes its
+     socket, so the EOF-based supervision alone would wait out the
+     stall. The ping deadline must SIGKILL it, restart through the
+     backoff path, and — when the replacement wedges on the
+     re-dispatched request too — give up with the typed Worker_lost. *)
   let requests = hot_requests ~count:1 in
   with_gateway
     { Gateway.default_config with
       Gateway.procs = 2;
       ping_timeout_s = Some 0.15;
       max_restarts = 2;
-      backoff_s = 0.01
+      backoff_s = 0.01;
+      service = slow_service 5.0
     }
   @@ fun gateway ->
-  let responses =
-    Gateway.run_batch gateway ~fault:(fun _ -> Wire.Sleep_s 5.0) requests
-  in
+  let responses = Gateway.run_batch gateway requests in
   (match responses with
   | [ { Gateway.outcome = Error (Gateway.Worker_lost _); _ } ] -> ()
   | [ response ] ->
@@ -752,7 +809,8 @@ let test_sigterm_drains () =
   with_gateway
     { Gateway.default_config with
       Gateway.procs = 2;
-      spill_threshold = Some 0
+      spill_threshold = Some 0;
+      service = slow_service 0.15
     }
   @@ fun gateway ->
   Gateway.install_sigterm gateway;
@@ -766,9 +824,7 @@ let test_sigterm_drains () =
         Unix.sleepf 0.05;
         Unix.kill (Unix.getpid ()) Sys.sigterm)
   in
-  let responses =
-    Gateway.run_batch gateway ~fault:(fun _ -> Wire.Sleep_s 0.15) requests
-  in
+  let responses = Gateway.run_batch gateway requests in
   Domain.join killer;
   check_int "in-flight batch completed through the drain"
     (List.length requests) (List.length responses);
