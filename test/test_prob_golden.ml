@@ -1,16 +1,20 @@
 (* Bit-identity golden test for the probabilistic segmenter: every Table 4
-   list page under the Period model, the Base model and posterior decoding
-   must keep the exact segmentation and diagnostics recorded here. Floats
-   are printed in hexadecimal ([%h]), so a digest moves if any posterior,
-   log-likelihood or learned parameter changes in its last bit. The
-   digests were produced by the dense inference loops (every pair of
-   states at adjacent positions), so they pin any faster kernel to the
-   same floating-point results. *)
+   list page, and page 0 of 24 sampled corpus sites, under the Period
+   model, the Base model and posterior decoding must keep the exact
+   segmentation and diagnostics recorded here. Floats are printed in
+   hexadecimal ([%h]), so a digest moves if any posterior, log-likelihood
+   or learned parameter changes in its last bit. The Table 4 digests were
+   produced by the dense inference loops (every pair of states at adjacent
+   positions), the corpus digests by the sparse passes over a lattice of
+   closures; both pin any faster kernel to the same floating-point
+   results. *)
 
 open Tabseg_extract
 module Prob = Tabseg.Prob_segmenter
 module Segmentation = Tabseg.Segmentation
 module Sites = Tabseg_sitegen.Sites
+module Family = Tabseg_corpus.Family
+module Harness = Tabseg_corpus.Harness
 
 let configs =
   [
@@ -36,6 +40,17 @@ let pages =
                  { Tabseg.Pipeline.list_pages; detail_pages } ))
            generated.Sites.pages)
        Sites.all)
+
+(* Page 0 of 24 sampled sites with three siblings each, as the corpus
+   harness segments them. Six of them reach the column cap k = 12 (Table 4
+   has two such pages), from other site families. *)
+let corpus_pages =
+  lazy
+    (List.map
+       (fun (name, input, _truth) -> (name, Tabseg.Pipeline.prepare input))
+       (Harness.site_inputs
+          (Family.sample
+             { Family.default_params with Family.sites = 24; seed = 17 })))
 
 let render ((segmentation : Segmentation.t), (d : Prob.diagnostics)) =
   let b = Buffer.create 4096 in
@@ -148,7 +163,83 @@ let expected =
     (("posterior", "SuperPages/1"), "1dfdcaabc4fe30e3a188dfe0aa4b4eb0")
   ]
 
-let test_config (name, config) () =
+let corpus_expected =
+  [
+    (("period", "corpus00000"), "7a8ff6105e826d4bcfbc7b7055b0cb4e");
+    (("period", "corpus00001"), "cc397e1b4f4095888e2e5e680d32d9f0");
+    (("period", "corpus00002"), "6630f7bc5c1a86cc712caa39d16e86f8");
+    (("period", "corpus00003"), "d7118b612fe502343ec8c7eb0e1fe184");
+    (("period", "corpus00004"), "2af763edb14b36a6c649653a9edee3e9");
+    (("period", "corpus00005"), "53a2cfe878dfbeb0187db80e1c14b4f6");
+    (("period", "corpus00006"), "d38f68d7b9451f732c21b3847697c3b5");
+    (("period", "corpus00007"), "217b957ec724ba281794b70cf7820994");
+    (("period", "corpus00008"), "db0338ed893de061371b869827ed8e4c");
+    (("period", "corpus00009"), "c5cd53c13cf8842f82a7ef4112089f79");
+    (("period", "corpus00010"), "158b6bbdd993276dab420786e597df5e");
+    (("period", "corpus00011"), "cd27cad703d2f4353b14b3fc1b3f4f3a");
+    (("period", "corpus00012"), "c0dd42a444bcd279d48a758623ec9364");
+    (("period", "corpus00013"), "7e879688abcb5f326abee8ac07d05380");
+    (("period", "corpus00014"), "8e6448861ef6d1956039c1c4c705e237");
+    (("period", "corpus00015"), "d91e17c66a5dd49876b11b35c8741c0a");
+    (("period", "corpus00016"), "4b8367d332d84675f803b87e75f11f94");
+    (("period", "corpus00017"), "af7fdfd89b3449998c647cc3b54baf59");
+    (("period", "corpus00018"), "8c666dd68aff3615dd30feeb0b74a630");
+    (("period", "corpus00019"), "4377cd4ee3cd2d1a8ead7c231e8b8659");
+    (("period", "corpus00020"), "948ce781b26dee78ca51e4733ff8fcf3");
+    (("period", "corpus00021"), "bdfc6f678fed5f1c6099229e2d5e3092");
+    (("period", "corpus00022"), "3cc2ad8c8d175ce4f3c821a7d43bab4f");
+    (("period", "corpus00023"), "8438ae2f75484c7b16c5babc07b1bbd5");
+    (("base", "corpus00000"), "7629b69388218d81bcb70ddb4d19a49d");
+    (("base", "corpus00001"), "6eced894cd62a405706346c41f300707");
+    (("base", "corpus00002"), "52038b9a525806ce34acd29154ee08ca");
+    (("base", "corpus00003"), "65eaf7bc9d12bbe8d83056143af0231e");
+    (("base", "corpus00004"), "6a918a0e42acd26527293782be351431");
+    (("base", "corpus00005"), "d81999f81265b9327d17efa563bc0513");
+    (("base", "corpus00006"), "14395f688cdf6fc46d97d474c40e766a");
+    (("base", "corpus00007"), "3d03ea98172b8d84d0f0646ece5e562f");
+    (("base", "corpus00008"), "d0bc18373486c1d5a0b56cdad0bc4bc8");
+    (("base", "corpus00009"), "11d131018c3befe01f4c701a510672c4");
+    (("base", "corpus00010"), "43569c529346f02b8392e6780b9af1f1");
+    (("base", "corpus00011"), "6f4c4bec30a413e8e3d9569a2ea74bca");
+    (("base", "corpus00012"), "6de11dc284a98fa99ae4101baa8e432e");
+    (("base", "corpus00013"), "870b303e48e6f8d695b280dac2d555e5");
+    (("base", "corpus00014"), "bd88428db59c029caba9b2513ce702c7");
+    (("base", "corpus00015"), "6d36e2ac5f39858403b89c437dc12e73");
+    (("base", "corpus00016"), "7b7876e35ec265de4a139f6485282414");
+    (("base", "corpus00017"), "f44275600c144b6b7a8f428e7b2eaabd");
+    (("base", "corpus00018"), "24b8134683f4fef420fcd6150e0a182d");
+    (("base", "corpus00019"), "5f2f81000641941d53a50cf5229fdf1c");
+    (("base", "corpus00020"), "0a22b0424bbfd7a57226cdd03aa4cee5");
+    (("base", "corpus00021"), "ede2447bd99518a64d4f71d1603da69d");
+    (("base", "corpus00022"), "08e81593c7a58a7db129d1bed010cc0b");
+    (("base", "corpus00023"), "7d340a1c7a8a5a270d065ba527406703");
+    (("posterior", "corpus00000"), "7a8ff6105e826d4bcfbc7b7055b0cb4e");
+    (("posterior", "corpus00001"), "cc397e1b4f4095888e2e5e680d32d9f0");
+    (("posterior", "corpus00002"), "6630f7bc5c1a86cc712caa39d16e86f8");
+    (("posterior", "corpus00003"), "d7118b612fe502343ec8c7eb0e1fe184");
+    (("posterior", "corpus00004"), "2af763edb14b36a6c649653a9edee3e9");
+    (("posterior", "corpus00005"), "53a2cfe878dfbeb0187db80e1c14b4f6");
+    (("posterior", "corpus00006"), "d38f68d7b9451f732c21b3847697c3b5");
+    (("posterior", "corpus00007"), "217b957ec724ba281794b70cf7820994");
+    (("posterior", "corpus00008"), "db0338ed893de061371b869827ed8e4c");
+    (("posterior", "corpus00009"), "c5cd53c13cf8842f82a7ef4112089f79");
+    (("posterior", "corpus00010"), "158b6bbdd993276dab420786e597df5e");
+    (("posterior", "corpus00011"), "cd27cad703d2f4353b14b3fc1b3f4f3a");
+    (("posterior", "corpus00012"), "c0dd42a444bcd279d48a758623ec9364");
+    (("posterior", "corpus00013"), "7e879688abcb5f326abee8ac07d05380");
+    (("posterior", "corpus00014"), "8e6448861ef6d1956039c1c4c705e237");
+    (("posterior", "corpus00015"), "d91e17c66a5dd49876b11b35c8741c0a");
+    (("posterior", "corpus00016"), "4b8367d332d84675f803b87e75f11f94");
+    (("posterior", "corpus00017"), "af7fdfd89b3449998c647cc3b54baf59");
+    (("posterior", "corpus00018"), "8c666dd68aff3615dd30feeb0b74a630");
+    (("posterior", "corpus00019"), "4377cd4ee3cd2d1a8ead7c231e8b8659");
+    (("posterior", "corpus00020"), "948ce781b26dee78ca51e4733ff8fcf3");
+    (("posterior", "corpus00021"), "bdfc6f678fed5f1c6099229e2d5e3092");
+    (("posterior", "corpus00022"), "3cc2ad8c8d175ce4f3c821a7d43bab4f");
+    (("posterior", "corpus00023"), "8438ae2f75484c7b16c5babc07b1bbd5")
+  ]
+
+let test_config expected pages (name, config) () =
   List.iter
     (fun (page, prepared) ->
       let actual = render (Prob.segment ~config prepared) in
@@ -166,6 +257,12 @@ let () =
           (fun ((name, _) as config) ->
             Alcotest.test_case
               (name ^ " bit-identical on Table 4")
-              `Quick (test_config config))
-          configs );
+              `Quick (test_config expected pages config))
+          configs
+        @ List.map
+            (fun ((name, _) as config) ->
+              Alcotest.test_case
+                (name ^ " bit-identical on the corpus sample")
+                `Quick (test_config corpus_expected corpus_pages config))
+            configs );
     ]
