@@ -16,21 +16,20 @@ let add a b =
   else if a >= b then a +. log1p (exp (b -. a))
   else b +. log1p (exp (a -. b))
 
-let sum_prefix values n =
+let sum values =
   let maximum = ref zero in
-  for j = 0 to n - 1 do
-    maximum := max !maximum values.(j)
+  for j = 0 to Array.length values - 1 do
+    let v = values.(j) in
+    maximum := if !maximum >= v then !maximum else v
   done;
   if is_zero !maximum then zero
   else begin
     let total = ref 0. in
-    for j = 0 to n - 1 do
+    for j = 0 to Array.length values - 1 do
       total := !total +. exp (values.(j) -. !maximum)
     done;
     !maximum +. log !total
   end
-
-let sum values = sum_prefix values (Array.length values)
 
 let mul a b = if is_zero a || is_zero b then zero else a +. b
 

@@ -19,12 +19,6 @@ val add : float -> float -> float
 val sum : float array -> float
 (** Stable log-sum-exp of an array; [zero] on the empty array. *)
 
-val sum_prefix : float array -> int -> float
-(** [sum_prefix values n] is {!sum} of the first [n] entries of [values],
-    without copying them. Dropping [zero] entries, the others kept in
-    order, leaves the result unchanged in every bit: they move neither the
-    maximum nor the total. *)
-
 val mul : float -> float -> float
 (** Product of probabilities = sum of logs ([zero] absorbs). *)
 
