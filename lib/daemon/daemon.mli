@@ -73,7 +73,10 @@ val metrics : t -> Tabseg_serve.Metrics.t
     replies, draining refusals, protocol errors, orphaned replies). *)
 
 val stats : t -> (string * float) list
-(** The counter/gauge snapshot {!Protocol.Stats} carries. *)
+(** The counter/gauge snapshot {!Protocol.Stats} carries: every
+    [daemon.*] and [gateway.*] counter and gauge in {!metrics}, sorted
+    by name (each slot's [gateway.worker<i>.*] gauges included, once
+    the fleet has set them). Histograms are left out. *)
 
 val serve : t -> unit
 (** Install the SIGTERM drain handler and run the select loop until a

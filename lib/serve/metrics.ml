@@ -171,6 +171,13 @@ let snapshot t =
           (fun n -> (n, Hashtbl.find t.histograms n))
           (sorted_names t.histograms) ))
 
+let values t =
+  let counters, gauges, _ = snapshot t in
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (List.map (fun (name, c) -> (name, float_of_int (counter_value c))) counters
+    @ List.map (fun (name, g) -> (name, gauge_value g)) gauges)
+
 let report t =
   let counters, gauges, histograms = snapshot t in
   let buffer = Buffer.create 512 in

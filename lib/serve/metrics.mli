@@ -57,6 +57,10 @@ val mean : summary -> float
 
 (** {1 Dumping} *)
 
+val values : t -> (string * float) list
+(** Every counter and gauge with its current value, a counter's as a
+    float, sorted by name. Histograms are left out. *)
+
 val report : t -> string
 (** Human-readable text report, metrics sorted by name. *)
 

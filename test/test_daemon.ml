@@ -709,6 +709,56 @@ let test_loadgen_quota_retry_recovers () =
   check_bool "retrying beats naive on completed work" true
     (retry.Loadgen.ok > naive.Loadgen.ok)
 
+(* ------------------------------- stats ------------------------------ *)
+
+(* The Stats reply is read off the registry: every daemon.* and gateway.*
+   counter and gauge the daemon and its gateway register, the overload
+   ladder's counters and each slot's gauges included. *)
+let test_stats_names_every_metric () =
+  let reported_by_registry (name, _) =
+    String.starts_with ~prefix:"daemon." name
+    || String.starts_with ~prefix:"gateway." name
+  in
+  (* In process, with an inline gateway: the snapshot against the
+     registry it is read from. *)
+  let registered =
+    let daemon = Daemon.create ~config:(daemon_config ()) () in
+    let registered =
+      List.map fst
+        (List.filter reported_by_registry
+           (Metrics.values (Daemon.metrics daemon)))
+    in
+    Alcotest.(check (list string))
+      "the snapshot names every daemon.* and gateway.* counter and gauge"
+      registered
+      (List.map fst (Daemon.stats daemon));
+    let sigterm = Sys.signal Sys.sigterm Sys.Signal_default in
+    Daemon.request_drain daemon;
+    Daemon.serve daemon;
+    Sys.set_signal Sys.sigterm sigterm;
+    registered
+  in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " is registered") true (List.mem name registered))
+    [ "gateway.spilled"; "gateway.deadline_exceeded"; "gateway.ping_timeouts";
+      "gateway.redispatches"; "gateway.late_responses"; "daemon.requests" ];
+  (* Over the wire, from a forked fleet: the same names, and each slot's
+     gauges. *)
+  with_daemon (daemon_config ~procs:2 ()) @@ fun handle ->
+  let client = connect_exn handle.Daemon.address in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  ignore (submit_exn client (request "stats"));
+  match Client.stats client with
+  | Error e -> Alcotest.fail (Client.error_message e)
+  | Ok stats ->
+    List.iter
+      (fun name ->
+        check_bool (name ^ " is in the reply") true (List.mem_assoc name stats))
+      (registered @ [ "gateway.worker0.inflight"; "gateway.worker1.inflight" ]);
+    check_bool "nothing but daemon.* and gateway.*" true
+      (List.for_all reported_by_registry stats)
+
 let () =
   Alcotest.run "daemon"
     [
@@ -760,5 +810,10 @@ let () =
             `Slow test_loadgen_stream_ttfr;
           Alcotest.test_case "quota retry recovers goodput" `Slow
             test_loadgen_quota_retry_recovers;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "Stats names every daemon and gateway metric"
+            `Slow test_stats_names_every_metric;
         ] );
     ]
