@@ -1429,8 +1429,8 @@ let gateway_kill_mid_request requests =
       (Serve.Metrics.gauge (Gw.metrics gateway)
          (Printf.sprintf "gateway.worker%d.inflight" i))
   in
-  List.iteri
-    (fun i pid -> if backlog i > 0. then Unix.kill pid Sys.sigkill)
+  List.iter
+    (fun (slot, pid) -> if backlog slot > 0. then Unix.kill pid Sys.sigkill)
     (Gw.worker_pids gateway);
   while Array.exists Option.is_none responses do
     Gw.pump ~max_wait_s:0.05 gateway

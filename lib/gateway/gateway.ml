@@ -321,23 +321,21 @@ let procs t = max t.cfg.procs 1
 let metrics t = t.registry
 let draining t = t.g_draining
 
-let worker_pids t =
-  match t.mode with
-  | Inline _ -> []
-  | Forked forked ->
-    Array.to_list forked.slots
-    |> List.filter_map (fun slot ->
-           match slot.s_state with Live c -> Some c.c_pid | _ -> None)
-
-let worker_roles t =
+let live_workers t f =
   match t.mode with
   | Inline _ -> []
   | Forked forked ->
     Array.to_list forked.slots
     |> List.filter_map (fun slot ->
            match slot.s_state with
-           | Live c -> Some (c.c_pid, Option.value c.c_role ~default:"unknown")
-           | _ -> None)
+           | Live c -> Some (f slot.s_index c)
+           | Restarting _ | Failed -> None)
+
+let worker_pids t = live_workers t (fun slot c -> (slot, c.c_pid))
+
+let worker_roles t =
+  live_workers t (fun slot c ->
+      (slot, c.c_pid, Option.value c.c_role ~default:"unknown"))
 
 (* Affinity: all requests of one site map to one slot, so the site's
    warm template cache has exactly one home process. *)

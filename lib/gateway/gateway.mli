@@ -117,17 +117,20 @@ val metrics : t -> Tabseg_serve.Metrics.t
     [overloaded], …) and the [gateway.dispatch_seconds] /
     [gateway.turnaround_seconds] histograms. *)
 
-val worker_pids : t -> int list
-(** Live worker pids, slot order. Empty inline. A test or bench
-    crashes a worker by killing one of these pids while it holds a
-    request: supervision sees the socket close, exactly as for a real
-    crash. *)
+val worker_pids : t -> (int * int) list
+(** [(slot, pid)] per live worker, in slot order: a slot whose worker is
+    restarting or has failed is left out, and the others keep their
+    slot index, the [i] of the [gateway.worker<i>.*] gauges. Empty
+    inline. A test or bench crashes a worker by killing one of these
+    pids while it holds a request: supervision sees the socket close,
+    exactly as for a real crash. *)
 
-val worker_roles : t -> (int * string) list
-(** [(pid, store role)] per live worker, slot order — the role each
-    worker reported in its Hello ("writer", "reader", "none";
-    "unknown" until the Hello has been read). Exactly one worker over a
-    shared store reports "writer". Empty inline. *)
+val worker_roles : t -> (int * int * string) list
+(** [(slot, pid, store role)] per live worker, in slot order as
+    {!worker_pids} — the role each worker reported in its Hello
+    ("writer", "reader", "none"; "unknown" until the Hello has been
+    read). Exactly one worker over a shared store reports "writer".
+    Empty inline. *)
 
 (** {2 Streaming submission — the seam external frontends drive}
 
