@@ -6,7 +6,15 @@
    recorded here. The digests were produced by the per-page template
    induction (a key-position table per page and induction) and the
    hash-table CSP encoder (one full encoding per mode), so they pin any
-   faster implementation to the same keys, rows, row order and records. *)
+   faster implementation to the same keys, rows, row order and records.
+
+   Two more outputs walk WSAT over soft rows, which the encodings alone do
+   not pin: the segmentation under the Coverage relaxation (a weight-1
+   soft exactly-one per extract) of every input, and the column
+   assignment [Csp_columns] solves (soft similarity rows) on four Table 4
+   segmentations. Their digests were produced by the list-based solver
+   that read one record per row, so they pin the flat kernel's seeded
+   walk to the same flips. *)
 
 open Tabseg_token
 open Tabseg_template
@@ -94,10 +102,7 @@ let encodings_digest (input : Pipeline.input) =
     configs;
   digest (Buffer.contents b)
 
-let segmentation_digest (input : Pipeline.input) =
-  let segmentation =
-    (Tabseg.Api.segment ~method_:Tabseg.Api.Csp input).Tabseg.Api.segmentation
-  in
+let segmentation_text (segmentation : Segmentation.t) =
   let b = Buffer.create 4096 in
   let extracts es =
     String.concat ","
@@ -115,7 +120,33 @@ let segmentation_digest (input : Pipeline.input) =
     (String.of_seq
        (Seq.map Segmentation.note_letter
           (List.to_seq segmentation.Segmentation.notes)));
-  digest (Buffer.contents b)
+  Buffer.contents b
+
+let segmentation_digest (input : Pipeline.input) =
+  (Tabseg.Api.segment ~method_:Tabseg.Api.Csp input).Tabseg.Api.segmentation
+  |> segmentation_text |> digest
+
+let coverage_digest (input : Pipeline.input) =
+  (Tabseg.Api.segment ~csp_config:Csp.coverage_config ~method_:Tabseg.Api.Csp
+     input)
+    .Tabseg.Api.segmentation
+  |> segmentation_text |> digest
+
+let columns_digest (input : Pipeline.input) =
+  let segmentation =
+    (Tabseg.Api.segment ~method_:Tabseg.Api.Csp input).Tabseg.Api.segmentation
+    |> Tabseg.Csp_columns.assign_columns
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (r : Segmentation.record) ->
+      Printf.bprintf b "r%d" r.Segmentation.number;
+      List.iter
+        (fun (id, column) -> Printf.bprintf b " %d:%d" id column)
+        r.Segmentation.columns;
+      Buffer.add_char b '\n')
+    segmentation.Segmentation.records;
+  digest (segmentation_text segmentation ^ Buffer.contents b)
 
 (* (input, template keys, encodings, segmentation) *)
 let expected =
@@ -203,6 +234,103 @@ let check ~what ~field compute () =
         Alcotest.(check string) (name ^ " " ^ what) (field entry) (compute input))
     (Lazy.force inputs)
 
+(* Every input named in [expected] keeps its digest. *)
+let check_pinned ~what expected compute () =
+  let inputs = Lazy.force inputs in
+  List.iter
+    (fun (name, digest) ->
+      match List.assoc_opt name inputs with
+      | None -> Alcotest.failf "no input named %s" name
+      | Some input ->
+        Alcotest.(check string) (name ^ " " ^ what) digest (compute input))
+    expected
+
+(* (input, segmentation under the Coverage relaxation) *)
+let coverage_expected =
+  [
+    ("AmazonBooks/0", "6f7827635a1e");
+    ("AmazonBooks/1", "4415d142e0da");
+    ("BNBooks/0", "8813da0af223");
+    ("BNBooks/1", "1b8c6940243e");
+    ("AlleghenyCounty/0", "6b5e13088524");
+    ("AlleghenyCounty/1", "d893e7a9bdf8");
+    ("ButlerCounty/0", "943d3abe485b");
+    ("ButlerCounty/1", "836b681f5980");
+    ("LeeCounty/0", "c44f5b9439c1");
+    ("LeeCounty/1", "1bee7071a464");
+    ("MichiganCorrections/0", "6da9af386431");
+    ("MichiganCorrections/1", "283ff39f892b");
+    ("MinnesotaCorrections/0", "3aa1c9978566");
+    ("MinnesotaCorrections/1", "bf2354733d06");
+    ("OhioCorrections/0", "d6b6aad013e3");
+    ("OhioCorrections/1", "700aa07139a3");
+    ("Canada411/0", "6fd49cea0486");
+    ("Canada411/1", "3aa9cb4392c1");
+    ("SprintCanada/0", "12a7fe37fd90");
+    ("SprintCanada/1", "e017c78c56cb");
+    ("YahooPeople/0", "74a6c1e61eec");
+    ("YahooPeople/1", "d69225978e47");
+    ("SuperPages/0", "ef85c977a0ca");
+    ("SuperPages/1", "136b42afd566");
+    ("corpus00000/0", "ad4cfb429292");
+    ("corpus00000/3", "33952d8055ff");
+    ("corpus00000/4", "a0d5730803a6");
+    ("corpus00000/7", "f3c7265b1fef");
+    ("corpus00001/0", "f42efa4193d0");
+    ("corpus00001/3", "97f172434b58");
+    ("corpus00001/4", "e1e9a2c954b7");
+    ("corpus00001/7", "1ed0677a5895");
+    ("corpus00002/0", "a3ce59b0056c");
+    ("corpus00002/3", "b043e5fa1df2");
+    ("corpus00002/4", "52fef505f64f");
+    ("corpus00002/7", "77ca9d9a2df5");
+    ("corpus00003/0", "bbf8611b8b9b");
+    ("corpus00003/3", "4f4d2b036012");
+    ("corpus00003/4", "72d038220984");
+    ("corpus00003/7", "084ccfc5e165");
+    ("corpus00004/0", "606d5eb79584");
+    ("corpus00004/3", "274dc37fbf06");
+    ("corpus00004/4", "6ddec9f07a0e");
+    ("corpus00004/7", "7dbe55b1212d");
+    ("corpus00005/0", "2de35789c098");
+    ("corpus00005/3", "4ade5fb30e12");
+    ("corpus00005/4", "15602fa6d9ed");
+    ("corpus00005/7", "19de0acc0668");
+    ("corpus00006/0", "f15a1d89f5a9");
+    ("corpus00006/3", "400e191f501b");
+    ("corpus00006/4", "845eebde978a");
+    ("corpus00006/7", "3522475fc5d2");
+    ("corpus00007/0", "ce699c75236b");
+    ("corpus00007/3", "75a5df6d01b3");
+    ("corpus00007/4", "dc964a3fb2a0");
+    ("corpus00007/7", "3f29897e0148");
+    ("corpus00008/0", "10dfc8765743");
+    ("corpus00008/3", "85279d0d9d57");
+    ("corpus00008/4", "20b8ffb00fa1");
+    ("corpus00008/7", "017c4fd18b7f");
+    ("corpus00009/0", "6ffe3ee4c3cd");
+    ("corpus00009/3", "4f198c285ed7");
+    ("corpus00009/4", "2127f6a7b365");
+    ("corpus00009/7", "db1411026e0d");
+    ("corpus00010/0", "39ab26ac8ddf");
+    ("corpus00010/3", "168706f3578d");
+    ("corpus00010/4", "57962cfd796c");
+    ("corpus00010/7", "3ef8730afcbf");
+    ("corpus00011/0", "aa3b8aadc171");
+    ("corpus00011/3", "e82dbc5c7ae6");
+    ("corpus00011/4", "9a5bbe68d153");
+    ("corpus00011/7", "27806d85555f")
+  ]
+
+(* (input, CSP segmentation with [Csp_columns.assign_columns]'s columns) *)
+let columns_expected =
+  [
+    ("AmazonBooks/0", "ecbf99ba8e69");
+    ("LeeCounty/0", "88d00d80b95f");
+    ("MichiganCorrections/0", "7cffa621f2d4");
+    ("Canada411/0", "9d394e10dda4")
+  ]
+
 let () =
   Alcotest.run "tabseg_csp_golden"
     [
@@ -217,5 +345,14 @@ let () =
           Alcotest.test_case "csp segmentation pinned" `Quick
             (check ~what:"segmentation" ~field:(fun (_, _, _, s) -> s)
                segmentation_digest);
+          Alcotest.test_case "coverage segmentation pinned" `Quick
+            (fun () ->
+              Alcotest.(check (list string)) "every input has a digest"
+                (List.map fst (Lazy.force inputs))
+                (List.map fst coverage_expected);
+              check_pinned ~what:"coverage" coverage_expected coverage_digest
+                ());
+          Alcotest.test_case "csp columns pinned" `Quick
+            (check_pinned ~what:"columns" columns_expected columns_digest);
         ] );
     ]
