@@ -7,8 +7,8 @@ exception Budget_exhausted
 exception Found of bool array
 
 type search = {
-  rows : Pb.linear array;
-  var_rows : (int * int) array array;
+  problem : Pb.problem;
+  occurrences : Pb.var_rows;
   assignment : bool array;
   lhs : int array;  (* contribution of assigned variables *)
   pos_rest : int array;  (* positive coefficients still unassigned *)
@@ -17,91 +17,92 @@ type search = {
   node_limit : int;
 }
 
-let hard_rows (problem : Pb.problem) =
-  Array.to_list problem.Pb.constraints
-  |> List.filter_map (function
-       | Pb.Hard l -> Some l
-       | Pb.Soft _ -> None)
-  |> Array.of_list
-
+(* Soft rows are indexed like the others and skipped wherever a row is
+   read. *)
 let make_search (problem : Pb.problem) node_limit =
-  let rows = hard_rows problem in
-  let num_vars = problem.Pb.num_vars in
-  let var_rows = Array.make num_vars [] in
-  let pos_rest = Array.make (Array.length rows) 0 in
-  let neg_rest = Array.make (Array.length rows) 0 in
-  Array.iteri
-    (fun r (row : Pb.linear) ->
-      Array.iter
-        (fun (v, coeff) ->
-          var_rows.(v) <- (r, coeff) :: var_rows.(v);
-          if coeff > 0 then pos_rest.(r) <- pos_rest.(r) + coeff
-          else neg_rest.(r) <- neg_rest.(r) + coeff)
-        row.Pb.terms)
-    rows;
+  let num_rows = Pb.num_rows problem in
+  let pos_rest = Array.make num_rows 0 in
+  let neg_rest = Array.make num_rows 0 in
+  for r = 0 to num_rows - 1 do
+    for t = problem.Pb.row_start.(r) to problem.Pb.row_start.(r + 1) - 1 do
+      let coeff = problem.Pb.coeffs.(t) in
+      if coeff > 0 then pos_rest.(r) <- pos_rest.(r) + coeff
+      else neg_rest.(r) <- neg_rest.(r) + coeff
+    done
+  done;
   {
-    rows;
-    var_rows = Array.map Array.of_list var_rows;
-    assignment = Array.make num_vars false;
-    lhs = Array.make (Array.length rows) 0;
+    problem;
+    occurrences = Pb.var_rows problem;
+    assignment = Array.make problem.Pb.num_vars false;
+    lhs = Array.make num_rows 0;
     pos_rest;
     neg_rest;
     nodes = 0;
     node_limit;
   }
 
+let hard search r = search.problem.Pb.weights.(r) = 0
+
 let row_feasible search r =
-  let row = search.rows.(r) in
+  let bound = search.problem.Pb.bounds.(r) in
   let lo = search.lhs.(r) + search.neg_rest.(r) in
   let hi = search.lhs.(r) + search.pos_rest.(r) in
-  match row.Pb.relation with
-  | Pb.Le -> lo <= row.Pb.bound
-  | Pb.Ge -> hi >= row.Pb.bound
-  | Pb.Eq -> lo <= row.Pb.bound && hi >= row.Pb.bound
+  match search.problem.Pb.relations.(r) with
+  | Pb.Le -> lo <= bound
+  | Pb.Ge -> hi >= bound
+  | Pb.Eq -> lo <= bound && hi >= bound
 
 (* Assign [v := value]; return false (after undoing nothing — caller undoes)
    if some touched row becomes infeasible. *)
 let assign search v value =
   search.assignment.(v) <- value;
   let ok = ref true in
-  Array.iter
-    (fun (r, coeff) ->
+  let occurrences = search.occurrences in
+  for k = occurrences.Pb.start.(v) to occurrences.Pb.start.(v + 1) - 1 do
+    let r = occurrences.Pb.rows.(k) and coeff = occurrences.Pb.coeffs.(k) in
+    if hard search r then begin
       if value then search.lhs.(r) <- search.lhs.(r) + coeff;
       if coeff > 0 then search.pos_rest.(r) <- search.pos_rest.(r) - coeff
       else search.neg_rest.(r) <- search.neg_rest.(r) - coeff;
-      if not (row_feasible search r) then ok := false)
-    search.var_rows.(v);
+      if not (row_feasible search r) then ok := false
+    end
+  done;
   !ok
 
 let unassign search v value =
-  Array.iter
-    (fun (r, coeff) ->
+  let occurrences = search.occurrences in
+  for k = occurrences.Pb.start.(v) to occurrences.Pb.start.(v + 1) - 1 do
+    let r = occurrences.Pb.rows.(k) and coeff = occurrences.Pb.coeffs.(k) in
+    if hard search r then begin
       if value then search.lhs.(r) <- search.lhs.(r) - coeff;
       if coeff > 0 then search.pos_rest.(r) <- search.pos_rest.(r) + coeff
-      else search.neg_rest.(r) <- search.neg_rest.(r) + coeff)
-    search.var_rows.(v);
+      else search.neg_rest.(r) <- search.neg_rest.(r) + coeff
+    end
+  done;
   search.assignment.(v) <- false
 
-let search_all problem node_limit on_solution =
+let search_all (problem : Pb.problem) node_limit on_solution =
   let search = make_search problem node_limit in
   let num_vars = problem.Pb.num_vars in
   let initially_feasible =
     let ok = ref true in
-    Array.iteri (fun r _ -> if not (row_feasible search r) then ok := false)
-      search.rows;
+    for r = 0 to Pb.num_rows problem - 1 do
+      if hard search r && not (row_feasible search r) then ok := false
+    done;
     !ok
   in
+  (* Variables in order, each false first. *)
   let rec explore v =
     search.nodes <- search.nodes + 1;
     if search.nodes > search.node_limit then raise Budget_exhausted;
     if v >= num_vars then on_solution (Array.copy search.assignment)
-    else
-      List.iter
-        (fun value ->
-          let ok = assign search v value in
-          if ok then explore (v + 1);
-          unassign search v value)
-        [ false; true ]
+    else begin
+      branch v false;
+      branch v true
+    end
+  and branch v value =
+    if assign search v value then explore (v + 1);
+    unassign search v value
   in
   if initially_feasible then explore 0
 

@@ -17,22 +17,21 @@ let to_string (problem : Pb.problem) =
   let buffer = Buffer.create 1024 in
   let hard_count =
     Array.fold_left
-      (fun acc c -> match c with Pb.Hard _ -> acc + 1 | Pb.Soft _ -> acc)
-      0 problem.Pb.constraints
+      (fun acc weight -> if weight = 0 then acc + 1 else acc)
+      0 problem.Pb.weights
   in
   Buffer.add_string buffer
     (Printf.sprintf "* #variable= %d #constraint= %d\n" problem.Pb.num_vars
        hard_count);
-  Array.iter
-    (fun constraint_ ->
-      match constraint_ with
-      | Pb.Hard linear ->
-        Buffer.add_string buffer (linear_to_string linear);
-        Buffer.add_char buffer '\n'
-      | Pb.Soft (linear, weight) ->
-        Buffer.add_string buffer
-          (Printf.sprintf "* soft %d: %s\n" weight (linear_to_string linear)))
-    problem.Pb.constraints;
+  for r = 0 to Pb.num_rows problem - 1 do
+    match Pb.row problem r with
+    | Pb.Hard linear ->
+      Buffer.add_string buffer (linear_to_string linear);
+      Buffer.add_char buffer '\n'
+    | Pb.Soft (linear, weight) ->
+      Buffer.add_string buffer
+        (Printf.sprintf "* soft %d: %s\n" weight (linear_to_string linear))
+  done;
   Buffer.contents buffer
 
 (* ------------------------------ parsing ---------------------------- *)

@@ -3,101 +3,103 @@ type outcome =
   | Conflict of string
 
 type state = {
+  problem : Pb.problem;
   value : int array;  (* -1 unknown, 0 false, 1 true *)
-  trail : (int * bool) list ref;
+  mutable trail : (int * bool) list;  (* forced literals, latest first *)
 }
 
-(* For one constraint under the current partial assignment: the fixed
-   contribution and the positive/negative potential of the unknowns. *)
-let bounds state (linear : Pb.linear) =
-  let fixed = ref 0 and positive = ref 0 and negative = ref 0 in
-  let unknowns = ref [] in
-  Array.iter
-    (fun (v, coeff) ->
-      match state.value.(v) with
-      | 1 -> fixed := !fixed + coeff
-      | 0 -> ()
-      | _ ->
-        unknowns := (v, coeff) :: !unknowns;
-        if coeff > 0 then positive := !positive + coeff
-        else negative := !negative + coeff)
-    linear.Pb.terms;
-  (!fixed, !positive, !negative, !unknowns)
-
-exception Found_conflict of string
+exception Row_conflict of int  (* a hard row the fixed variables break *)
+exception Forced_both_ways of int
 
 let assign state v value =
   match state.value.(v) with
   | -1 ->
     state.value.(v) <- (if value then 1 else 0);
-    state.trail := (v, value) :: !(state.trail);
+    state.trail <- (v, value) :: state.trail;
     true
   | current when (current = 1) = value -> false
-  | _ ->
-    raise
-      (Found_conflict
-         (Printf.sprintf "variable x%d forced both ways" (v + 1)))
+  | _ -> raise (Forced_both_ways v)
 
-(* Propagate one constraint; true if any variable was newly fixed. *)
-let propagate state (linear : Pb.linear) =
-  let fixed, positive, negative, unknowns = bounds state linear in
-  let lo = fixed + negative and hi = fixed + positive in
-  let describe () = Format.asprintf "%a" Pb.pp_linear linear in
+(* Propagate row [r]; true if any variable was newly fixed. *)
+let propagate state r =
+  let problem = state.problem in
+  let lo_term = problem.Pb.row_start.(r)
+  and hi_term = problem.Pb.row_start.(r + 1) in
+  (* The fixed contribution and the positive/negative potential of the
+     unknowns. *)
+  let fixed = ref 0 and positive = ref 0 and negative = ref 0 in
+  for t = lo_term to hi_term - 1 do
+    let coeff = problem.Pb.coeffs.(t) in
+    match state.value.(problem.Pb.vars.(t)) with
+    | 1 -> fixed := !fixed + coeff
+    | 0 -> ()
+    | _ ->
+      if coeff > 0 then positive := !positive + coeff
+      else negative := !negative + coeff
+  done;
+  let lo = !fixed + !negative and hi = !fixed + !positive in
+  let bound = problem.Pb.bounds.(r) in
+  let relation = problem.Pb.relations.(r) in
+  (match relation with
+  | Pb.Le -> if lo > bound then raise (Row_conflict r)
+  | Pb.Ge -> if hi < bound then raise (Row_conflict r)
+  | Pb.Eq -> if lo > bound || hi < bound then raise (Row_conflict r));
   let changed = ref false in
-  let force v value = if assign state v value then changed := true in
-  (match linear.Pb.relation with
-  | Pb.Le ->
-    if lo > linear.Pb.bound then raise (Found_conflict (describe ()));
-    (* A positive unknown whose addition would break the bound must be 0;
-       a negative unknown whose absence would break it must be 1. *)
-    List.iter
-      (fun (v, coeff) ->
-        if coeff > 0 && lo + coeff > linear.Pb.bound then force v false
-        else if coeff < 0 && lo - coeff > linear.Pb.bound then force v true)
-      unknowns
-  | Pb.Ge ->
-    if hi < linear.Pb.bound then raise (Found_conflict (describe ()));
-    List.iter
-      (fun (v, coeff) ->
-        if coeff > 0 && hi - coeff < linear.Pb.bound then force v true
-        else if coeff < 0 && hi + coeff < linear.Pb.bound then force v false)
-      unknowns
-  | Pb.Eq ->
-    if lo > linear.Pb.bound || hi < linear.Pb.bound then
-      raise (Found_conflict (describe ()));
-    List.iter
-      (fun (v, coeff) ->
-        if coeff > 0 then begin
-          if lo + coeff > linear.Pb.bound then force v false
-          else if hi - coeff < linear.Pb.bound then force v true
-        end
-        else begin
-          if lo - coeff > linear.Pb.bound then force v true
-          else if hi + coeff < linear.Pb.bound then force v false
-        end)
-      unknowns);
+  (* The unknowns, last term first. A row mentions a variable once, so
+     forcing one leaves the others as they were. *)
+  for t = hi_term - 1 downto lo_term do
+    let v = problem.Pb.vars.(t) in
+    if state.value.(v) = -1 then begin
+      let coeff = problem.Pb.coeffs.(t) in
+      (* A positive unknown whose addition would break the bound must be
+         0; a negative unknown whose absence would break it must be 1. *)
+      let forced =
+        match relation with
+        | Pb.Le ->
+          if coeff > 0 && lo + coeff > bound then assign state v false
+          else if coeff < 0 && lo - coeff > bound then assign state v true
+          else false
+        | Pb.Ge ->
+          if coeff > 0 && hi - coeff < bound then assign state v true
+          else if coeff < 0 && hi + coeff < bound then assign state v false
+          else false
+        | Pb.Eq ->
+          if coeff > 0 then
+            if lo + coeff > bound then assign state v false
+            else if hi - coeff < bound then assign state v true
+            else false
+          else if lo - coeff > bound then assign state v true
+          else if hi + coeff < bound then assign state v false
+          else false
+      in
+      if forced then changed := true
+    end
+  done;
   !changed
 
-let run (problem : Pb.problem) =
+(* Propagate the hard rows to fixpoint. *)
+let propagate_all problem =
   let state =
-    { value = Array.make (max 1 problem.Pb.num_vars) (-1); trail = ref [] }
+    { problem; value = Array.make (max 1 problem.Pb.num_vars) (-1); trail = [] }
   in
-  let hard =
-    Array.to_list problem.Pb.constraints
-    |> List.filter_map (function Pb.Hard l -> Some l | Pb.Soft _ -> None)
-  in
-  try
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun linear -> if propagate state linear then changed := true)
-        hard
-    done;
-    Fixed (List.rev !(state.trail))
-  with Found_conflict message -> Conflict message
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for r = 0 to Pb.num_rows problem - 1 do
+      if problem.Pb.weights.(r) = 0 && propagate state r then changed := true
+    done
+  done;
+  state
+
+let run problem =
+  match propagate_all problem with
+  | state -> Fixed (List.rev state.trail)
+  | exception Row_conflict r ->
+    Conflict (Format.asprintf "%a" (Pb.pp_row problem) r)
+  | exception Forced_both_ways v ->
+    Conflict (Printf.sprintf "variable x%d forced both ways" (v + 1))
 
 let is_unsat problem =
-  match run problem with
-  | Conflict _ -> true
-  | Fixed _ -> false
+  match propagate_all problem with
+  | _ -> false
+  | exception (Row_conflict _ | Forced_both_ways _) -> true
