@@ -587,12 +587,21 @@ let serve t =
        socket, never as a process-killing signal. (Redundant with the
        forked gateway's own setting, but procs<=1 runs inline and sets
        nothing.) *)
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    Sys.set_signal Sys.sigterm
-      (Sys.Signal_handle (fun _ -> t.drain_requested <- true));
-    while not t.finished do
-      turn t
-    done
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    let sigterm =
+      Sys.signal Sys.sigterm
+        (Sys.Signal_handle (fun _ -> t.drain_requested <- true))
+    in
+    (* The handlers are the process's, not the daemon's: once it has
+       drained, a later SIGTERM is the embedding process's again. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigterm sigterm;
+        Sys.set_signal Sys.sigpipe sigpipe)
+      (fun () ->
+        while not t.finished do
+          turn t
+        done)
   end
 
 (* ------------------------ out-of-process harness --------------------- *)

@@ -79,9 +79,10 @@ val stats : t -> (string * float) list
     the fleet has set them). Histograms are left out. *)
 
 val serve : t -> unit
-(** Install the SIGTERM drain handler and run the select loop until a
-    drain completes. Returns with every connection closed and the
-    gateway shut down; idempotent to call once. *)
+(** Install the SIGTERM drain handler, ignore SIGPIPE, and run the select
+    loop until a drain completes. Returns with every connection closed,
+    the gateway shut down and both signals' former dispositions
+    restored; idempotent to call once. *)
 
 val request_drain : t -> unit
 (** What the SIGTERM handler flips — exposed so an embedding process

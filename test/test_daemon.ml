@@ -709,6 +709,34 @@ let test_loadgen_quota_retry_recovers () =
   check_bool "retrying beats naive on completed work" true
     (retry.Loadgen.ok > naive.Loadgen.ok)
 
+(* [serve] sets SIGTERM to its drain and SIGPIPE to ignore while it
+   runs, and gives both back when it returns: a process that embeds a
+   daemon keeps its own handlers after the daemon is gone. *)
+let test_serve_restores_signals () =
+  let on_term _ = () and on_pipe _ = () in
+  let term_before = Sys.signal Sys.sigterm (Sys.Signal_handle on_term) in
+  let pipe_before = Sys.signal Sys.sigpipe (Sys.Signal_handle on_pipe) in
+  let is handler = function
+    | Sys.Signal_handle f -> f == handler
+    | Sys.Signal_default | Sys.Signal_ignore -> false
+  in
+  let term_after, pipe_after =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigterm term_before;
+        Sys.set_signal Sys.sigpipe pipe_before)
+      (fun () ->
+        let daemon = Daemon.create ~config:(daemon_config ()) () in
+        Daemon.request_drain daemon;
+        Daemon.serve daemon;
+        ( Sys.signal Sys.sigterm Sys.Signal_default,
+          Sys.signal Sys.sigpipe Sys.Signal_default ))
+  in
+  check_bool "SIGTERM is the handler it was before serve" true
+    (is on_term term_after);
+  check_bool "SIGPIPE is the handler it was before serve" true
+    (is on_pipe pipe_after)
+
 (* ------------------------------- stats ------------------------------ *)
 
 (* The Stats reply is read off the registry: every daemon.* and gateway.*
@@ -732,10 +760,8 @@ let test_stats_names_every_metric () =
       "the snapshot names every daemon.* and gateway.* counter and gauge"
       registered
       (List.map fst (Daemon.stats daemon));
-    let sigterm = Sys.signal Sys.sigterm Sys.Signal_default in
     Daemon.request_drain daemon;
     Daemon.serve daemon;
-    Sys.set_signal Sys.sigterm sigterm;
     registered
   in
   List.iter
@@ -799,6 +825,8 @@ let () =
             test_disconnect_mid_request;
           Alcotest.test_case "SIGTERM drains and exits 0" `Slow
             test_sigterm_drain;
+          Alcotest.test_case "serve gives back SIGTERM and SIGPIPE" `Slow
+            test_serve_restores_signals;
         ] );
       ( "transport",
         [ Alcotest.test_case "tcp listener" `Slow test_tcp_listener ] );
