@@ -22,7 +22,10 @@ type outcome =
           first conflicting constraint *)
 
 val run : Pb.problem -> outcome
-(** Propagate to fixpoint. Soft constraints are ignored. *)
+(** Propagate to fixpoint: passes over the hard rows in row order, each
+    row's unknowns taken last term first, until a pass fixes nothing.
+    Soft constraints are ignored. *)
 
 val is_unsat : Pb.problem -> bool
-(** [run] ended in a conflict. *)
+(** [run] ended in a conflict, found the same way but with no message
+    formatted. *)

@@ -6,7 +6,19 @@
     a random one with probability [noise], otherwise the variable whose flip
     most reduces the score (weighted hard violations plus weighted soft
     cost), subject to a tabu tenure with aspiration. Restarts from random
-    assignments after [max_flips] flips without success. *)
+    assignments after [max_flips] flips without success.
+
+    The walk runs on {!Pb.problem}'s flat rows. A solve builds one
+    var→rows index ({!Pb.var_rows}) and one state, which each try resets
+    in place; a flip allocates nothing. Given the seed, the walk is fixed
+    by the problem's order contract (see {!Pb}): a try draws each
+    variable's start in variable order and adds the violated rows to the
+    violated set in row order; a flip updates its variable's rows in
+    descending row order, a satisfied row leaving the set by a swap with
+    its last member; the violated row to repair is drawn among the hard
+    ones if any is violated, else among all, counting from the last one
+    in the set back; and a tie between candidate flips goes to the row's
+    earlier term. *)
 
 type params = {
   max_flips : int;  (** flips per try *)
