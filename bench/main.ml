@@ -1202,8 +1202,8 @@ module Gw = Tabseg_gateway.Gateway
 
 let render_gateway_responses responses =
   List.map
-    (fun (response : Gw.response) ->
-      match response.Gw.outcome with
+    (fun response ->
+      match Gw.result response with
       | Ok result ->
         Format.asprintf "%a" Tabseg.Segmentation.pp
           result.Tabseg.Api.segmentation
@@ -1646,8 +1646,8 @@ let overload_cell ~mode ~rate ~waves ~wave_s ~service_s ~deadline_s ~input
     let wave_started = Unix.gettimeofday () in
     let responses = Gw.run_batch gateway requests in
     List.iter
-      (fun (response : Gw.response) ->
-        match response.Gw.outcome with
+      (fun response ->
+        match Gw.result response with
         | Ok result ->
           incr ok;
           if

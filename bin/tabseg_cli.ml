@@ -521,8 +521,8 @@ let auto_cmd =
                 batch
             in
             List.map
-              (fun (response : Gateway.response) ->
-                match response.Gateway.outcome with
+              (fun response ->
+                match Gateway.result response with
                 | Ok result -> Ok result
                 | Error (Gateway.Service_error (Service.Invalid_input error))
                   ->

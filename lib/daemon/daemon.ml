@@ -51,7 +51,7 @@ type conn = {
   mutable k_last_in : float;  (* last inbound bytes, for idle timeout *)
   k_order : int Queue.t;  (* seqs awaiting their in-order reply *)
   k_outstanding : (int, unit) Hashtbl.t;  (* guards against seq reuse *)
-  k_ready : (int, Protocol.reply) Hashtbl.t;  (* resolved, not yet head *)
+  k_ready : (int, Gateway.response) Hashtbl.t;  (* resolved, not yet head *)
   k_streams : (int, stream_state) Hashtbl.t;  (* streaming submissions *)
   mutable k_inflight : int;  (* submitted to the gateway, unanswered *)
   mutable k_closing : bool;  (* flush the outbox, then close *)
@@ -242,13 +242,14 @@ let flush_ready t conn =
   while !continue do
     match Queue.peek_opt conn.k_order with
     | Some seq when Hashtbl.mem conn.k_ready seq ->
-      let reply = Hashtbl.find conn.k_ready seq in
+      let response = Hashtbl.find conn.k_ready seq in
       Hashtbl.remove conn.k_ready seq;
       Hashtbl.remove conn.k_outstanding seq;
       ignore (Queue.pop conn.k_order);
       flush_stream_records t conn seq;
       Hashtbl.remove conn.k_streams seq;
-      send_message conn (Protocol.Reply { seq; reply });
+      (* the worker's body, forwarded unread *)
+      Conn.send conn.k_chan (Protocol.encode_reply ~seq response);
       Metrics.incr t.m_replies
     | _ -> continue := false
   done;
@@ -260,24 +261,16 @@ let flush_ready t conn =
    park it, release whatever became in-order. A closed connection's
    replies are orphans — counted and dropped; the gateway work they
    came from was never cancelled, it just has no reader any more. *)
-let complete t conn seq reply =
+let complete t conn seq response =
   if conn.k_closed then Metrics.incr t.m_orphaned
   else begin
-    Hashtbl.replace conn.k_ready seq reply;
+    Hashtbl.replace conn.k_ready seq response;
     flush_ready t conn
   end
 
-let reply_of_response (r : Gateway.response) =
+let refusal (request : Service.request) error =
   {
-    Protocol.id = r.Gateway.id;
-    outcome = r.Gateway.outcome;
-    cache_hit = r.Gateway.cache_hit;
-    latency_s = r.Gateway.latency_s;
-  }
-
-let refusal_reply (request : Service.request) error =
-  {
-    Protocol.id = request.Service.id;
+    Gateway.id = request.Service.id;
     outcome = Error error;
     cache_hit = false;
     latency_s = 0.;
@@ -303,11 +296,11 @@ let admit t conn ~stream seq request =
     Hashtbl.replace conn.k_outstanding seq ();
     if t.draining then begin
       Metrics.incr t.m_drain_refused;
-      complete t conn seq (refusal_reply request Gateway.Draining)
+      complete t conn seq (refusal request Gateway.Draining)
     end
     else if conn.k_inflight >= t.cfg.max_conn_inflight then
       complete t conn seq
-        (refusal_reply request
+        (refusal request
            (Gateway.Gateway_overloaded
               {
                 inflight = conn.k_inflight;
@@ -317,7 +310,7 @@ let admit t conn ~stream seq request =
       conn.k_inflight <- conn.k_inflight + 1;
       let on_complete response =
         conn.k_inflight <- conn.k_inflight - 1;
-        complete t conn seq (reply_of_response response)
+        complete t conn seq response
       in
       if not stream then Gateway.submit t.gateway ~on_complete request
       else begin

@@ -18,8 +18,12 @@ module Crc32 = Tabseg_store.Crc32
    v5: Request and Stream_request (and the daemon's Submit and
    Submit_stream) carry no fault field: nothing a peer sends chooses a
    sleep or a path. Pong carries only its token: a worker reads a Ping
-   only between requests, so it has no live load to report. *)
-let protocol_version = 5
+   only between requests, so it has no live load to report.
+   v6: Response and Stream_done carry a Service.reply, the result as
+   the body the worker's memo entry keeps (its Marshal payload), in
+   place of the decoded result; the master forwards the body unread,
+   and the daemon's Reply carries the same bytes. *)
+let protocol_version = 6
 let magic = "TSGW"
 let header_size = 16 (* magic + version + crc + length *)
 
@@ -32,14 +36,14 @@ let max_payload = 1 lsl 27
 type message =
   | Hello of { pid : int; role : string; jobs : int; queue_capacity : int }
   | Request of { seq : int; request : Service.request }
-  | Response of { seq : int; response : Service.response }
+  | Response of { seq : int; reply : Service.reply }
   | Stream_request of { seq : int; request : Service.request }
   | Record_frame of {
       seq : int;
       index : int;  (** 0-based frame index within the stream *)
       record : Tabseg.Segmentation.record;
     }
-  | Stream_done of { seq : int; response : Service.response }
+  | Stream_done of { seq : int; reply : Service.reply }
   | Ping of int
   | Pong of int
   | Shutdown

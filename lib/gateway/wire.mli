@@ -41,7 +41,10 @@ type message =
           Tests and benches crash a worker by killing it ([Unix.kill]
           on a pid from {!Gateway.worker_pids}) and model service time
           with {!Tabseg_serve.Service.config.simulated_fetch_s}. *)
-  | Response of { seq : int; response : Tabseg_serve.Service.response }
+  | Response of { seq : int; reply : Tabseg_serve.Service.reply }
+      (** the answer with its result as the encoded body: a memo hit's
+          body is the one its cache entry keeps, and the master forwards
+          it without decoding *)
   | Stream_request of { seq : int; request : Tabseg_serve.Service.request }
       (** like [Request], but the worker answers with zero or more
           [Record_frame]s — one per record, as its detail evidence
@@ -53,9 +56,9 @@ type message =
       index : int;  (** 0-based frame index within the stream *)
       record : Tabseg.Segmentation.record;
     }
-  | Stream_done of { seq : int; response : Tabseg_serve.Service.response }
-      (** terminal frame of a stream: the full response, byte-identical
-          to what [Request] would have returned *)
+  | Stream_done of { seq : int; reply : Tabseg_serve.Service.reply }
+      (** terminal frame of a stream: the full reply, byte-identical to
+          what [Request] would have returned *)
   | Ping of int
   | Pong of int
       (** echoes the ping's token. A worker reads a Ping only between

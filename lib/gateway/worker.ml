@@ -29,21 +29,21 @@ let run ~socket ~config =
   let stop = ref false in
   let handle = function
     | Wire.Request { seq; request } ->
-      let response = Service.segment_one service request in
-      Wire.write_message socket (Wire.Response { seq; response })
+      let reply = Service.reply_one service request in
+      Wire.write_message socket (Wire.Response { seq; reply })
     | Wire.Stream_request { seq; request } ->
       (* Frames go out as the engine emits them — the master relays them
          to its caller before this worker has finished the request. *)
       let index = ref 0 in
-      let response =
-        Service.segment_stream service
+      let reply =
+        Service.reply_stream service
           ~on_record:(fun record ->
             Wire.write_message socket
               (Wire.Record_frame { seq; index = !index; record });
             incr index)
           request
       in
-      Wire.write_message socket (Wire.Stream_done { seq; response })
+      Wire.write_message socket (Wire.Stream_done { seq; reply })
     | Wire.Ping token -> Wire.write_message socket (Wire.Pong token)
     | Wire.Shutdown -> stop := true
     | Wire.Hello _ | Wire.Response _ | Wire.Record_frame _

@@ -55,13 +55,21 @@ type error =
 
 val error_message : error -> string
 
-type response = {
+type 'a answer = {
   id : string;
-  outcome : (Tabseg.Api.result, error) result;
+  outcome : ('a, error) result;
   cache_hit : bool;  (** served from the result memo *)
   latency_s : float;
       (** time inside the worker for this request (queue wait excluded) *)
 }
+
+type response = Tabseg.Api.result answer
+(** An answer for in-process callers: the result itself. *)
+
+type reply = Tabseg_store.Codec.body answer
+(** An answer for the wire: the result as its encoded body. A memo hit
+    replies with the body its entry keeps, so a served result is
+    encoded at most once per entry. *)
 
 type t
 
@@ -84,6 +92,11 @@ val run_batch : t -> request list -> response list
 val segment_one : t -> request -> response
 (** [run_batch] of a singleton. *)
 
+val reply_one : t -> request -> reply
+(** {!segment_one} with the result as its body: the memo entry's body
+    (encoded and kept on the first ask), or, without a cache, encoded
+    now. Used where the answer leaves the process. *)
+
 val segment_stream :
   t -> on_record:(Tabseg.Segmentation.record -> unit) -> request -> response
 (** The streaming seam: {!segment_one}'s per-request path (memo, template
@@ -92,6 +105,10 @@ val segment_stream :
     returned. A request is one unit, whose records exist only once its
     whole input is segmented. Counts [stream.requests] and observes
     [stream.time_to_first_record_seconds] when there is a record. *)
+
+val reply_stream :
+  t -> on_record:(Tabseg.Segmentation.record -> unit) -> request -> reply
+(** {!segment_stream} with the result as its body, as {!reply_one}. *)
 
 val maintenance : t -> unit
 (** Periodic housekeeping between batches: {!Tabseg_store.Store.refresh}

@@ -18,8 +18,8 @@ let check_string = Alcotest.(check string)
 let render segmentation =
   Format.asprintf "%a" Tabseg.Segmentation.pp segmentation
 
-let render_response (response : Gateway.response) =
-  match response.Gateway.outcome with
+let render_response response =
+  match Gateway.result response with
   | Ok result -> render result.Tabseg.Api.segmentation
   | Error error -> "ERROR: " ^ Gateway.error_message error
 
@@ -271,8 +271,8 @@ let test_wire_frame_bytes () =
   in
   let frame = Wire.frame_payload "123456789" in
   check_int "header + payload" 25 (String.length frame);
-  check_string "header: magic, version 5, CRC-32, length"
-    "5453475700000005cbf4392600000009" (hex (String.sub frame 0 16));
+  check_string "header: magic, version 6, CRC-32, length"
+    "5453475700000006cbf4392600000009" (hex (String.sub frame 0 16));
   check_string "payload follows" "123456789" (String.sub frame 16 9)
 
 (* ------------------------- connection reader ------------------------ *)
@@ -410,6 +410,43 @@ let test_procs2_matches_sequential () =
     (List.length (List.filter (fun (_, _, role) -> role = "writer") roles));
   check_int "the other is a reader" 1
     (List.length (List.filter (fun (_, _, role) -> role = "reader") roles))
+
+(* A response carries the body its worker encoded: decoded, it equals
+   the in-process result, miss and hits alike, forked and inline. Inline,
+   two hits on one memo entry carry physically the same body. *)
+let test_bodies_decode_and_are_shared () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  let expected =
+    match
+      Tabseg.Api.segment_result ~method_:Tabseg.Api.Probabilistic
+        request.Service.input
+    with
+    | Ok result -> result
+    | Error error -> Alcotest.fail (Tabseg.Api.input_error_message error)
+  in
+  let serve procs =
+    with_gateway { Gateway.default_config with Gateway.procs } @@ fun gateway ->
+    let responses = Gateway.run_batch gateway [ request; request; request ] in
+    List.iteri
+      (fun i response ->
+        let label = Printf.sprintf "procs=%d reply %d" procs i in
+        check_bool (label ^ ": a hit after the first") (i > 0)
+          response.Gateway.cache_hit;
+        match Gateway.result response with
+        | Ok result ->
+          check_bool (label ^ ": equals the in-process result") true
+            (result = expected)
+        | Error error -> Alcotest.fail (Gateway.error_message error))
+      responses;
+    responses
+  in
+  ignore (serve 2);
+  match serve 1 with
+  | [ _; { Gateway.outcome = Ok first; _ }; { Gateway.outcome = Ok second; _ } ]
+    ->
+    check_bool "inline: two hits on one entry carry the same body" true
+      (first == second)
+  | _ -> Alcotest.fail "inline: expected three Ok replies"
 
 (* --------------------- in-order merge under skew -------------------- *)
 
@@ -791,7 +828,7 @@ let stream_one gateway (request : Service.request) =
 let check_stream_against expected (response, streamed) =
   check_string "final stream response byte-identical" expected
     (render_response response);
-  match response.Gateway.outcome with
+  match Gateway.result response with
   | Error error -> Alcotest.fail ("stream errored: " ^ Gateway.error_message error)
   | Ok result ->
     let batch_records = result.Tabseg.Api.segmentation.Tabseg.Segmentation.records in
@@ -907,6 +944,8 @@ let () =
             test_procs2_matches_sequential;
           Alcotest.test_case "in-order under latency skew" `Slow
             test_inorder_merge_under_skew;
+          Alcotest.test_case "bodies decode to the in-process result" `Quick
+            test_bodies_decode_and_are_shared;
         ] );
       ( "supervision",
         [

@@ -198,6 +198,76 @@ let test_oversize_value_not_cached () =
   check_bool "oversize value skipped" true (Shard.find shard "big" = None);
   check_int "nothing evicted for it" 0 (Shard.stats shard).Shard.evictions
 
+(* An entry's body: nothing is encoded when a result is stored without
+   a store; the first ask encodes it once, every later ask returns that
+   same string, and its bytes count against the budget. *)
+let test_entry_body_counted_and_kept () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  let input = request.Service.input in
+  let result =
+    match Tabseg.Api.segment_result ~method_:Tabseg.Api.Csp input with
+    | Ok result -> result
+    | Error error -> Alcotest.fail (Tabseg.Api.input_error_message error)
+  in
+  let cache = Cache.create () in
+  let key = Cache.request_key ~method_:Tabseg.Api.Csp input in
+  let entry = Cache.store_result cache ~key result in
+  check_bool "no store: nothing encoded when stored" true
+    (entry.Cache.body = None);
+  let cost () = (Cache.stats cache).Cache.results.Shard.cost in
+  let before = cost () in
+  let body = Cache.body cache ~key entry in
+  check_int "the body's bytes count against the budget"
+    (before + String.length (body :> string))
+    (cost ());
+  (match Cache.find_result cache ~key with
+  | Some entry ->
+    check_bool "the entry keeps the body" true
+      (match entry.Cache.body with Some kept -> kept == body | None -> false);
+    check_bool "a later ask returns the same body" true
+      (Cache.body cache ~key entry == body)
+  | None -> Alcotest.fail "the entry was dropped");
+  check_bool "the body decodes to the result" true
+    (Tabseg_store.Codec.decode_body body = result)
+
+(* [reply_one] answers with the memo entry's body: a miss encodes it
+   once, and every hit on the entry returns that same string, equal to
+   what [segment_one] answers decoded. [segment_one] encodes nothing. *)
+let test_reply_one_reuses_body () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  let service = Service.create () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let cost () =
+    match Service.cache_stats service with
+    | Some stats -> stats.Cache.results.Shard.cost
+    | None -> Alcotest.fail "cache should be enabled by default"
+  in
+  let decoded = Service.segment_one service request in
+  let before = cost () in
+  let replies = List.init 3 (fun _ -> Service.reply_one service request) in
+  let bodies =
+    List.map
+      (fun (reply : Service.reply) ->
+        check_bool "every reply is a memo hit" true reply.Service.cache_hit;
+        match reply.Service.outcome with
+        | Ok body -> body
+        | Error error -> Alcotest.fail (Service.error_message error))
+      replies
+  in
+  check_int "segment_one stored no body; the first reply stored one"
+    (before + String.length (List.hd bodies :> string))
+    (cost ());
+  List.iter
+    (fun body ->
+      check_bool "hits on one entry return physically the same body" true
+        (body == List.hd bodies))
+    bodies;
+  match decoded.Service.outcome with
+  | Ok result ->
+    check_bool "the body decodes to segment_one's result" true
+      (Tabseg_store.Codec.decode_body (List.hd bodies) = result)
+  | Error error -> Alcotest.fail (Service.error_message error)
+
 (* --------------------- overload and deadlines ----------------------- *)
 
 (* A gate the test controls: worker tasks block on it until [open_gate],
@@ -512,6 +582,10 @@ let () =
             test_oversize_value_not_cached;
           Alcotest.test_case "request key pinned" `Quick
             test_request_key_pinned;
+          Alcotest.test_case "entry body counted and kept" `Quick
+            test_entry_body_counted_and_kept;
+          Alcotest.test_case "reply_one reuses the entry's body" `Quick
+            test_reply_one_reuses_body;
         ] );
       ( "overload",
         [

@@ -401,9 +401,11 @@ let test_codec_result_roundtrip () =
   let result =
     Tabseg.Api.segment ~method_:Tabseg.Api.Probabilistic (superpages_input ())
   in
-  match Codec.decode_result (Codec.encode_result result) with
+  let body = Codec.encode_body result in
+  match Codec.decode_result (Codec.result_blob body) with
   | None -> Alcotest.fail "result failed to roundtrip"
-  | Some decoded ->
+  | Some (decoded, decoded_body) ->
+    check_bool "the blob carries the body" true (decoded_body = body);
     check_string "segmentation renders identically" (render_result result)
       (render_result decoded)
 
