@@ -19,6 +19,14 @@
     one home. With [procs <= 1] nothing is forked — requests run inline
     on an embedded service, the reference sequential mode.
 
+    Memo: when the workers cache ([service.cache]), the master keeps the
+    body of each [Ok] answer to a plain request under the workers' own
+    request key ({!Tabseg_serve.Cache.request_key}), in an LRU bounded
+    by the same [capacity_mb] in body bytes. A later plain request whose
+    input an earlier one carried is answered inside {!submit}, with
+    that body and [cache_hit = true], and no worker sees it. Streams
+    always go to a worker: their records need the decoded result.
+
     Supervision: the master detects a dead worker by its socket (EOF /
     EPIPE — a single-threaded worker grinding through a long request
     legitimately ignores heartbeats, so silence alone never kills),
@@ -99,7 +107,8 @@ type 'a answer = {
   outcome : ('a, error) result;
   cache_hit : bool;
   latency_s : float;
-      (** worker-side service latency; 0 for gateway-level errors *)
+      (** worker-side service latency; for a master memo hit, the
+          master's key and lookup time; 0 for gateway-level errors *)
 }
 
 type response = Tabseg_store.Codec.body answer
@@ -123,8 +132,10 @@ val procs : t -> int
 val metrics : t -> Tabseg_serve.Metrics.t
 (** [gateway.*] counters ([requests_total], [ok], [failed],
     [redispatches], [worker_restarts], [worker_lost], [late_responses],
-    [overloaded], …) and the [gateway.dispatch_seconds] /
-    [gateway.turnaround_seconds] histograms. *)
+    [overloaded], [memo_hits], …), the [gateway.memo_bytes] gauge (the
+    body bytes the memo holds) and the [gateway.dispatch_seconds] /
+    [gateway.turnaround_seconds] histograms (a memo hit observes
+    neither). *)
 
 val worker_pids : t -> (int * int) list
 (** [(slot, pid)] per live worker, in slot order: a slot whose worker is
@@ -158,11 +169,11 @@ val submit :
   Tabseg_serve.Service.request ->
   unit
 (** Admit one request through the degradation ladder (inflight cap,
-    per-site quota, spill placement, shed check) and dispatch it.
-    [on_complete] fires exactly once: synchronously from inside
-    [submit] for refusals (and for everything in inline mode), from a
-    later {!pump}/{!run_batch} turn for admitted work. Callbacks must
-    not block; they may call [submit] again. *)
+    per-site quota, the memo, spill placement, shed check) and dispatch
+    it. [on_complete] fires exactly once: synchronously from inside
+    [submit] for refusals and memo hits (and for everything in inline
+    mode), from a later {!pump}/{!run_batch} turn for dispatched work.
+    Callbacks must not block; they may call [submit] again. *)
 
 val submit_stream :
   t ->
@@ -170,10 +181,11 @@ val submit_stream :
   on_complete:(response -> unit) ->
   Tabseg_serve.Service.request ->
   unit
-(** Like {!submit}, but the worker streams: [on_record] fires once per
-    emitted record — [(frame index, record)], in emission order, each
-    strictly before [on_complete] — as {!Wire.Record_frame}s arrive,
-    typically while the site's later pages are still being segmented.
+(** Like {!submit}, but the worker streams, memoized input or not:
+    [on_record] fires once per emitted record — [(frame index,
+    record)], in emission order, each strictly before [on_complete] —
+    as {!Wire.Record_frame}s arrive, typically while the site's later
+    pages are still being segmented.
     The final response is byte-identical to what {!submit} would have
     delivered. Delivery is at-most-once: a worker that dies {e after}
     its first frame fails the stream with [Worker_lost] instead of

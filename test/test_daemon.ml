@@ -18,36 +18,34 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let small_input =
-  lazy
-    (let open Tabseg_sitegen in
-     let generated = Sites.generate (Sites.find "VerticalPages") in
-     let list_pages, detail_pages =
-       Sites.segmentation_input generated ~page_index:0
-     in
-     { Tabseg.Pipeline.list_pages; detail_pages })
+(* A page of the VerticalPages demo site as a segmentation input. *)
+let vertical_pages_input page_index =
+  let open Tabseg_sitegen in
+  let generated = Sites.generate (Sites.find "VerticalPages") in
+  let list_pages, detail_pages =
+    Sites.segmentation_input generated ~page_index
+  in
+  { Tabseg.Pipeline.list_pages; detail_pages }
 
-(* The daemon's service runs the default (probabilistic) method; the
+let small_input = lazy (vertical_pages_input 0)
+
+(* The daemon's service runs the default (probabilistic) method; a
    reference must match it: as a value (served results must equal it)
    and as its rendering. *)
-let reference_result =
-  lazy
-    (match
-       Tabseg.Api.segment_result ~method_:Tabseg.Api.Probabilistic
-         (Lazy.force small_input)
-     with
-    | Ok result -> result
-    | Error error -> failwith (Tabseg.Api.input_error_message error))
+let segment input =
+  match Tabseg.Api.segment_result ~method_:Tabseg.Api.Probabilistic input with
+  | Ok result -> result
+  | Error error -> failwith (Tabseg.Api.input_error_message error)
 
-let reference =
-  lazy
-    (Format.asprintf "%a" Tabseg.Segmentation.pp
-       (Lazy.force reference_result).Tabseg.Api.segmentation)
+let render (result : Tabseg.Api.result) =
+  Format.asprintf "%a" Tabseg.Segmentation.pp result.Tabseg.Api.segmentation
+
+let reference_result = lazy (segment (Lazy.force small_input))
+let reference = lazy (render (Lazy.force reference_result))
 
 let render_reply (reply : Protocol.reply) =
   match reply.Protocol.outcome with
-  | Ok result ->
-    Format.asprintf "%a" Tabseg.Segmentation.pp result.Tabseg.Api.segmentation
+  | Ok result -> render result
   | Error error -> "ERROR: " ^ Gw.error_message error
 
 let request ?(site = "daemon-test") id =
@@ -314,12 +312,14 @@ let test_idle_timeout_trickle () =
 (* ------------------------ ordering and limits ----------------------- *)
 
 let test_pipelined_inorder_under_skew () =
-  (* A slow head and a fast tail on different workers: at procs=2 the
-     two site labels below have different home workers. The workers
-     sleep inside every request they have not served yet, so a warm-up
-     request leaves the fast site's input in its worker's memo while the
-     head, new to its own worker, sleeps. Every fast reply resolves
-     while the head still runs, and strict ordering parks it. *)
+  (* A slow head and a fast tail: at procs=2 the two site labels below
+     have different home workers. The workers sleep inside every
+     request they have not served yet, and the gateway master answers
+     an input it has already seen from its memo, so after a warm-up the
+     fast requests never reach a worker while the head, an input no
+     earlier request carried, sleeps in its own. Every fast reply
+     resolves while the head still runs, and strict ordering parks
+     it. *)
   with_daemon
     (daemon_config ~procs:2
        ~service:
@@ -333,8 +333,12 @@ let test_pipelined_inorder_under_skew () =
       Client.close observer)
   @@ fun () ->
   ignore (submit_exn client (request ~site:"skew-fast-site" "warm-up"));
+  let head_input = vertical_pages_input 1 in
+  let head_reference = render (segment head_input) in
   let requests =
-    request ~site:"skew-slow-site" "skew-0"
+    { (request ~site:"skew-slow-site" "skew-0") with
+      Service.input = head_input
+    }
     :: List.init 5 (fun i ->
            request ~site:"skew-fast-site" (Printf.sprintf "skew-%d" (i + 1)))
   in
@@ -390,7 +394,8 @@ let test_pipelined_inorder_under_skew () =
         reply.Protocol.id;
       check_string
         (Printf.sprintf "reply %d byte-identical to the reference" i)
-        (Lazy.force reference) (render_reply reply))
+        (if i = 0 then head_reference else Lazy.force reference)
+        (render_reply reply))
     replies
 
 let test_conn_inflight_limit () =
@@ -865,7 +870,8 @@ let test_stats_names_every_metric () =
     (fun name ->
       check_bool (name ^ " is registered") true (List.mem name registered))
     [ "gateway.spilled"; "gateway.deadline_exceeded"; "gateway.ping_timeouts";
-      "gateway.redispatches"; "gateway.late_responses"; "daemon.requests" ];
+      "gateway.redispatches"; "gateway.late_responses"; "gateway.memo_hits";
+      "gateway.memo_bytes"; "daemon.requests" ];
   (* Over the wire, from a forked fleet: the same names, and each slot's
      gauges. *)
   with_daemon (daemon_config ~procs:2 ()) @@ fun handle ->
