@@ -334,7 +334,8 @@ let auto_cmd =
   let cache_mb_arg =
     let doc =
       "Budget (MB) of the serving layer's template cache and result \
-       memo. 0 disables caching."
+       memo; with --procs above 1 it also bounds the gateway master's \
+       memo of reply bodies. 0 disables caching."
     in
     Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
   in
@@ -764,7 +765,11 @@ let serve_cmd =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
   in
   let cache_mb_arg =
-    let doc = "Cache budget (MB) per worker; 0 disables." in
+    let doc =
+      "Cache budget (MB) per worker. It also bounds the gateway's body \
+       memo, which answers a repeated input without a worker. 0 turns \
+       both off."
+    in
     Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
   in
   let store_arg =
