@@ -1,12 +1,13 @@
 # Per-PR check: full build, the test suite, and the smoke guards — the
 # degraded-mode sweep (fault rate 0.1, one seed — fails the process when
 # resilient-crawl recovery or degraded accuracy regress), the serving
-# determinism smoke (2-domain warm/cold rounds must match the sequential
-# segmentation byte for byte), the store smoke (write → reopen →
-# byte-identical read, plus the warm-start guarantee through the
-# persistent cache tier), and the gateway smoke (procs=2 responses
-# byte-identical to procs=1, and a worker killed mid-request recovers
-# to a correct — not typed-error — result via a single re-dispatch), and
+# smoke (a cached service's cold and warm rounds must match the
+# sequential segmentation byte for byte), the store smoke (write →
+# reopen → byte-identical read, plus the warm-start guarantee through
+# the persistent cache tier), and the gateway smoke (procs=1 and
+# procs=2 responses byte-identical to sequential, and a worker killed
+# mid-request recovers to a correct — not typed-error — result via a
+# single re-dispatch), and
 # the overload smoke (a fixed-seed Zipf-skewed burst at ~1.6x fleet
 # capacity: the spill+shed gateway must keep goodput positive with the
 # degradation ladder demonstrably engaged, no worker crashes, and every
@@ -34,9 +35,8 @@
 # for CI annotation; the lint-smoke bench target enforces the <10s
 # full-repo runtime budget on the dataflow walk. See docs/ANALYZE.md.
 
-.PHONY: check build lint test smoke bench bench-throughput bench-store \
-	bench-gateway bench-overload bench-daemon bench-corpus bench-stream \
-	bench-lint clean
+.PHONY: check build lint test smoke bench bench-store bench-gateway \
+	bench-overload bench-daemon bench-corpus bench-stream bench-lint clean
 
 check: build lint test smoke
 
@@ -63,25 +63,14 @@ smoke:
 bench:
 	dune exec bench/main.exe
 
-# Serving-layer throughput sweep (domains 1/2/4 × cache on/off) →
-# BENCH_serve.json. The 8M-word minor heap keeps OCaml's per-minor-GC
-# stop-the-world rendezvous from dominating multi-domain runs; it must
-# be set at process start (the arena is reserved then), hence the env
-# var rather than Gc.set in the bench.
-bench-throughput:
-	OCAMLRUNPARAM=s=8M dune exec bench/main.exe -- throughput --json
-
 # Persistent-store benchmark: cold vs warm-start latency over the 12-site
 # corpus plus a compaction probe → BENCH_store.json. Runs against
 # throwaway store directories under $TMPDIR.
 bench-store:
 	dune exec bench/main.exe -- store --json
 
-# Multi-process gateway sweep (procs 1/2/4 × cold/warm store × cpu|io,
-# plus a jobs=4 domain-ceiling comparison cell) → BENCH_gateway.json.
-# Must run in its own process: OCaml forbids fork once any domain has
-# been spawned, so the gateway target cannot share a process with the
-# domain-based throughput sweep.
+# Multi-process gateway sweep (procs 1/2/4 × cold/warm store × cpu|io)
+# → BENCH_gateway.json.
 bench-gateway:
 	dune exec bench/main.exe -- gateway --json
 
@@ -90,7 +79,6 @@ bench-gateway:
 # the degradation ladder (static affinity / spill / spill+shed / full
 # with per-site quotas) → BENCH_overload.json, including the
 # goodput ratio of spill+shed over the static baseline at the top rate.
-# Forks workers, so like bench-gateway it needs its own process.
 bench-overload:
 	dune exec bench/main.exe -- overload --json
 
@@ -100,8 +88,7 @@ bench-overload:
 # sequential in-process reference, then the quota cell — a burst past
 # the per-site admission quota driven by a naive client and by one that
 # honours the typed retry-after hint, goodput compared over the same
-# fixed horizon → BENCH_daemon.json. Spawns daemons (fork), so like
-# bench-gateway it needs its own process.
+# fixed horizon → BENCH_daemon.json.
 bench-daemon:
 	dune exec bench/main.exe -- daemon --json
 
@@ -112,10 +99,9 @@ bench-daemon:
 # per-family breakdown, worst-k triage digests and sites/sec. The same
 # seed reproduces identical accuracy numbers (the JSON carries an MD5
 # digest of every per-site count to prove it). Knobs:
-# TABSEG_CORPUS_SITES/JOBS/MAX_PAGE/SIBLINGS. The 8M minor heap matters
-# for the same multi-domain reason as bench-throughput.
+# TABSEG_CORPUS_SITES/MAX_PAGE/SIBLINGS. The sweep runs one service.
 bench-corpus:
-	OCAMLRUNPARAM=s=8M dune exec bench/main.exe -- corpus --json
+	dune exec bench/main.exe -- corpus --json
 
 # Lint runtime guard: both analyzer passes (syntactic TS001-TS007 and
 # interprocedural dataflow TS008-TS012) over the full repo, failing on

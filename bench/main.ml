@@ -699,13 +699,13 @@ let fault_sweep ?(smoke = false) () =
     else Printf.printf "smoke ok: degraded-mode recovery and accuracy hold\n"
 
 (* ------------------------------------------------------------------ *)
-(* Throughput: the serving layer under domain and cache sweeps          *)
+(* The serving layer's requests and their renderings                   *)
 (* ------------------------------------------------------------------ *)
 
 module Serve = Tabseg_serve
 
 (* Page 0 of each of the twelve sites, as service requests. *)
-let throughput_requests () =
+let site_requests () =
   List.map
     (fun site ->
       let generated = Sites.generate site in
@@ -728,198 +728,6 @@ let render_responses responses =
           result.Tabseg.Api.segmentation
       | Error error -> "ERROR: " ^ Serve.Service.error_message error)
     responses
-
-type throughput_point = {
-  workload : string;  (* "cpu" | "io" *)
-  jobs : int;
-  cache_on : bool;
-  requests : int;
-  seconds : float;
-  rps : float;
-  speedup_vs_1 : float;  (* filled in a second pass *)
-  result_hit_rate : float;  (* warm rounds only; 0 with cache off *)
-  template_hit_rate : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-  deterministic : bool;
-}
-
-(* One (workload, jobs, cache) cell: a cold round then [warm] warm
-   rounds through one service instance. *)
-let throughput_point ~workload ~fetch_s ~jobs ~cache_on ~warm ~requests
-    ~reference =
-  let config =
-    {
-      Serve.Service.default_config with
-      Serve.Service.jobs;
-      cache = (if cache_on then Some Serve.Cache.default_config else None);
-      simulated_fetch_s = fetch_s;
-    }
-  in
-  let service = Serve.Service.create ~config () in
-  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
-  @@ fun () ->
-  let deterministic = ref true in
-  let run_round () =
-    let responses = Serve.Service.run_batch service requests in
-    if render_responses responses <> reference then deterministic := false
-  in
-  let started = Unix.gettimeofday () in
-  run_round ();
-  let after_cold = Serve.Service.cache_stats service in
-  for _ = 1 to warm do
-    run_round ()
-  done;
-  let seconds = Unix.gettimeofday () -. started in
-  let total_requests = (1 + warm) * List.length requests in
-  let warm_rate select =
-    match (after_cold, Serve.Service.cache_stats service) with
-    | Some cold, Some final ->
-      let (c : Serve.Shard.stats) = select cold in
-      let (f : Serve.Shard.stats) = select final in
-      let hits = f.Serve.Shard.hits - c.Serve.Shard.hits in
-      let misses = f.Serve.Shard.misses - c.Serve.Shard.misses in
-      if hits + misses = 0 then 0.
-      else float_of_int hits /. float_of_int (hits + misses)
-    | _ -> 0.
-  in
-  let latency =
-    Serve.Metrics.summary
-      (Serve.Metrics.histogram
-         (Serve.Service.metrics service)
-         "request.seconds")
-  in
-  {
-    workload;
-    jobs;
-    cache_on;
-    requests = total_requests;
-    seconds;
-    rps = float_of_int total_requests /. seconds;
-    speedup_vs_1 = 1.;
-    result_hit_rate = warm_rate (fun (s : Serve.Cache.stats) -> s.Serve.Cache.results);
-    template_hit_rate =
-      warm_rate (fun (s : Serve.Cache.stats) -> s.Serve.Cache.templates);
-    p50_ms = latency.Serve.Metrics.p50 *. 1000.;
-    p95_ms = latency.Serve.Metrics.p95 *. 1000.;
-    p99_ms = latency.Serve.Metrics.p99 *. 1000.;
-    deterministic = !deterministic;
-  }
-
-let throughput_json points =
-  let point_json p =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"jobs\": %d, \"cache\": %b, \
-       \"requests\": %d, \"seconds\": %.4f, \"rps\": %.2f, \
-       \"speedup_vs_1\": %.3f, \"result_hit_rate\": %.3f, \
-       \"template_hit_rate\": %.3f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \
-       \"p99_ms\": %.3f, \"deterministic\": %b}"
-      p.workload p.jobs p.cache_on p.requests p.seconds p.rps p.speedup_vs_1
-      p.result_hit_rate p.template_hit_rate p.p50_ms p.p95_ms p.p99_ms
-      p.deterministic
-  in
-  Printf.sprintf
-    "{\n  \"bench\": \"serve.throughput\",\n  \"sites\": %d,\n  \
-     \"recommended_domains\": %d,\n  \"minor_heap_words\": %d,\n  \
-     \"sweep\": [\n%s\n  ]\n}\n"
-    (List.length Sites.all)
-    (Domain.recommended_domain_count ())
-    (Gc.get ()).Gc.minor_heap_size
-    (String.concat ",\n" (List.map point_json points))
-
-(* The serving benchmark: sweep worker domains (1/2/4) and cache on/off
-   over the 12-site workload, in two regimes: "cpu" (pure in-memory
-   segmentation — domain speedup is bounded by hardware cores) and "io"
-   (each cache-missing request also waits out a simulated 750 ms page
-   fetch, the regime a live crawler-segmenter serves in — the pool
-   overlaps the waits regardless of core count).
-
-   Multi-domain OCaml pays a stop-the-world rendezvous per minor
-   collection, and segmentation allocates heavily; a larger minor heap
-   makes collections rare enough that the rendezvous cost stops
-   dominating (on a 1-core host it is the difference between 2 domains
-   running 2.4x SLOWER and breaking even). The minor heap arena is
-   reserved at process start, so Gc.set cannot grow it from inside —
-   run via `make bench-throughput`, which sets OCAMLRUNPARAM=s=8M; the
-   header and JSON record the size actually in force. *)
-let throughput ?(json = false) () =
-  section "Throughput: serve layer, domains x cache sweep (12 sites)";
-  Printf.printf "(1 cold + 2 warm rounds per cell; %d hardware domain(s) \
-                 recommended; minor heap %d words%s)\n"
-    (Domain.recommended_domain_count ())
-    (Gc.get ()).Gc.minor_heap_size
-    (if (Gc.get ()).Gc.minor_heap_size < 4 * 1024 * 1024 then
-       " — small for multi-domain runs; use `make bench-throughput`"
-     else "");
-  let requests = throughput_requests () in
-  let reference =
-    (* The sequential, uncached rendering every cell must reproduce. *)
-    render_responses
-      (let service =
-         Serve.Service.create
-           ~config:
-             { Serve.Service.default_config with
-               Serve.Service.jobs = 1; cache = None }
-           ()
-       in
-       Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
-       @@ fun () -> Serve.Service.run_batch service requests)
-  in
-  let cells =
-    List.concat_map
-      (fun (workload, fetch_s) ->
-        List.concat_map
-          (fun jobs ->
-            List.map
-              (fun cache_on ->
-                throughput_point ~workload ~fetch_s ~jobs ~cache_on ~warm:2
-                  ~requests ~reference)
-              [ false; true ])
-          [ 1; 2; 4 ])
-      [ ("cpu", 0.); ("io", 0.75) ]
-  in
-  let baseline workload cache_on =
-    match
-      List.find_opt
-        (fun p -> p.workload = workload && p.jobs = 1 && p.cache_on = cache_on)
-        cells
-    with
-    | Some p -> p.rps
-    | None -> nan
-  in
-  let points =
-    List.map
-      (fun p ->
-        { p with speedup_vs_1 = p.rps /. baseline p.workload p.cache_on })
-      cells
-  in
-  Printf.printf "%-5s %5s %6s %8s %9s %8s %9s %9s %9s %6s\n" "load" "jobs"
-    "cache" "req/s" "speedup" "hit%" "p50" "p95" "p99" "ok";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-5s %5d %6s %8.2f %8.2fx %7.1f%% %7.1fms %7.1fms %7.1fms %6s\n"
-        p.workload p.jobs
-        (if p.cache_on then "on" else "off")
-        p.rps p.speedup_vs_1
-        (100. *. p.result_hit_rate)
-        p.p50_ms p.p95_ms p.p99_ms
-        (if p.deterministic then "yes" else "NO");
-      if not p.deterministic then
-        Printf.printf
-          "WARNING: %s jobs=%d cache=%b diverged from the sequential \
-           reference\n"
-          p.workload p.jobs p.cache_on)
-    points;
-  if json then begin
-    let path = "BENCH_serve.json" in
-    let oc = open_out path in
-    output_string oc (throughput_json points);
-    close_out oc;
-    Printf.printf "\nwrote %s\n" path
-  end;
-  points
 
 (* ------------------------------------------------------------------ *)
 (* Store: cold vs warm start through the persistent tier               *)
@@ -991,7 +799,7 @@ let store_compaction_probe () =
    result keys miss but every template comes from the store. *)
 let store_bench ?(json = false) () =
   section "Store: cold vs warm start through the persistent tier";
-  let requests = throughput_requests () in
+  let requests = site_requests () in
   let dir = temp_store_dir "tabseg_bench" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let method_ = Tabseg.Api.Probabilistic in
@@ -1124,11 +932,12 @@ let store_smoke () =
     warm_res_hits (List.length requests) csp_tpl_hits
     (List.length requests)
 
-(* The per-PR serve guard: on one generated site, a 2-domain cached run
-   must reproduce the sequential segmentation byte-for-byte, and the
-   warm round must be served from the result memo. *)
+(* The per-PR serve guard: on one generated site, a cached service's
+   cold and warm rounds must reproduce the sequential segmentation
+   byte-for-byte, and the warm round must be served from the result
+   memo. *)
 let serve_smoke () =
-  section "Serve smoke: 2-domain determinism + warm-cache identity";
+  section "Serve smoke: warm-cache identity";
   let site = Sites.find "ButlerCounty" in
   let generated = Sites.generate site in
   let requests =
@@ -1157,11 +966,7 @@ let serve_smoke () =
         | Error error -> "ERROR: " ^ Tabseg.Api.input_error_message error)
       requests
   in
-  let service =
-    Serve.Service.create
-      ~config:{ Serve.Service.default_config with Serve.Service.jobs = 2 }
-      ()
-  in
+  let service = Serve.Service.create () in
   Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
   @@ fun () ->
   let cold = render_responses (Serve.Service.run_batch service requests) in
@@ -1176,8 +981,7 @@ let serve_smoke () =
   let ok = ref true in
   if cold <> sequential then begin
     ok := false;
-    Printf.printf
-      "SMOKE FAILURE: 2-domain cold run diverged from sequential\n"
+    Printf.printf "SMOKE FAILURE: cold run diverged from sequential\n"
   end;
   if warm <> sequential then begin
     ok := false;
@@ -1190,12 +994,11 @@ let serve_smoke () =
       hits (List.length requests)
   end;
   if not !ok then exit 1;
-  Printf.printf
-    "smoke ok: parallel (2 domains) = sequential, %d/%d warm hits\n" hits
+  Printf.printf "smoke ok: cold = warm = sequential, %d/%d warm hits\n" hits
     (List.length requests)
 
 (* ------------------------------------------------------------------ *)
-(* Gateway: the multi-process front-end past the domain ceiling         *)
+(* Gateway: the multi-process front-end                                 *)
 (* ------------------------------------------------------------------ *)
 
 module Gw = Tabseg_gateway.Gateway
@@ -1219,7 +1022,7 @@ let gateway_reference ?(method_ = Serve.Service.default_config.method_)
        Serve.Service.create
          ~config:
            { Serve.Service.default_config with
-             Serve.Service.jobs = 1; cache = None; method_ }
+             Serve.Service.cache = None; method_ }
          ()
      in
      Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
@@ -1227,8 +1030,7 @@ let gateway_reference ?(method_ = Serve.Service.default_config.method_)
 
 type gateway_point = {
   g_workload : string;  (* "cpu" | "io" *)
-  g_procs : int;  (* worker processes (1 = inline, no fork) *)
-  g_jobs : int;  (* domains inside each worker *)
+  g_procs : int;  (* worker processes *)
   g_store : string;  (* "cold" | "warm" *)
   g_requests : int;
   g_seconds : float;
@@ -1237,11 +1039,11 @@ type gateway_point = {
   g_deterministic : bool;
 }
 
-(* One (workload, procs, jobs) configuration over a throwaway store
+(* One (workload, procs) configuration over a throwaway store
    directory: a cold round (empty store, forks and lock acquisition
    included in wall time only via create, not per-request), then warm
    rounds against the now-populated store. *)
-let gateway_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds ~requests
+let gateway_cell ~workload ~fetch_s ~procs ~warm_rounds ~requests
     ~reference =
   let dir = temp_store_dir "tabseg_gw" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1252,8 +1054,7 @@ let gateway_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds ~requests
       service =
         {
           Serve.Service.default_config with
-          Serve.Service.jobs;
-          simulated_fetch_s = fetch_s;
+          Serve.Service.simulated_fetch_s = fetch_s;
           store_dir = Some dir;
         };
     }
@@ -1268,7 +1069,6 @@ let gateway_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds ~requests
     {
       g_workload = workload;
       g_procs = procs;
-      g_jobs = jobs;
       g_store = store;
       g_requests = total;
       g_seconds = seconds;
@@ -1294,10 +1094,10 @@ let gateway_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds ~requests
 let gateway_json points =
   let point_json p =
     Printf.sprintf
-      "    {\"workload\": \"%s\", \"procs\": %d, \"jobs\": %d, \
-       \"store\": \"%s\", \"requests\": %d, \"seconds\": %.4f, \
-       \"rps\": %.2f, \"speedup_vs_seq\": %.3f, \"deterministic\": %b}"
-      p.g_workload p.g_procs p.g_jobs p.g_store p.g_requests p.g_seconds
+      "    {\"workload\": \"%s\", \"procs\": %d, \"store\": \"%s\", \
+       \"requests\": %d, \"seconds\": %.4f, \"rps\": %.2f, \
+       \"speedup_vs_seq\": %.3f, \"deterministic\": %b}"
+      p.g_workload p.g_procs p.g_store p.g_requests p.g_seconds
       p.g_rps p.g_speedup_vs_seq p.g_deterministic
   in
   Printf.sprintf
@@ -1308,62 +1108,32 @@ let gateway_json points =
     (String.concat ",\n" (List.map point_json points))
 
 (* The gateway benchmark: procs 1/2/4 over a shared throwaway store, in
-   the cpu and io regimes, cold and warm store rounds — plus a
-   domains=4 single-process cell so the JSON carries the in-process
-   ceiling (PR 2's rendezvous-bound sweep) next to the process numbers
-   it is meant to be compared against. Worker processes share no minor
-   heap, so they pay no stop-the-world rendezvous: on a multi-core host
-   the cpu regime scales with procs where domains stall. Responses are
+   the cpu and io regimes, cold and warm store rounds. Worker processes
+   share no heap, so they pay no stop-the-world minor-GC rendezvous: on
+   a multi-core host the cpu regime scales with procs. Responses are
    checked byte-for-byte against the sequential reference in every
    cell. *)
 let gateway_bench ?(json = false) () =
   section "Gateway: procs x store sweep (12 sites, shared store)";
-  Printf.printf
-    "(1 cold + warm rounds per cell; %d hardware core(s); procs=1 is \
-     inline, jobs>1 are domains inside one process)\n"
+  Printf.printf "(1 cold + warm rounds per cell; %d hardware core(s))\n"
     (Domain.recommended_domain_count ());
-  let requests = throughput_requests () in
+  let requests = site_requests () in
   let reference = gateway_reference requests in
-  (* OCaml forbids [Unix.fork] once any domain has ever been spawned in
-     the process, so every forking cell must run before the jobs=4
-     (domain) comparison cell — and if an earlier bench target already
-     spawned domains in this process, the forking cells are skipped
-     with a note rather than killing the whole run (use
-     `make bench-gateway` for a clean process). *)
-  let safe_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds =
-    try
-      gateway_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds ~requests
-        ~reference
-    with Failure message ->
-      Printf.printf
-        "skipping procs=%d %s cell: %s (run `make bench-gateway` for a \
-         fresh process)\n"
-        procs workload message;
-      []
-  in
-  let regimes = [ ("cpu", 0., 2); ("io", 0.75, 1) ] in
-  let forked_cells =
+  let cells =
     List.concat_map
       (fun (workload, fetch_s, warm_rounds) ->
         List.concat_map
-          (fun (procs, jobs) ->
-            safe_cell ~workload ~fetch_s ~procs ~jobs ~warm_rounds)
-          [ (1, 1); (2, 1); (4, 1) ])
-      regimes
+          (fun procs ->
+            gateway_cell ~workload ~fetch_s ~procs ~warm_rounds ~requests
+              ~reference)
+          [ 1; 2; 4 ])
+      [ ("cpu", 0., 2); ("io", 0.75, 1) ]
   in
-  let domain_cells =
-    List.concat_map
-      (fun (workload, fetch_s, warm_rounds) ->
-        safe_cell ~workload ~fetch_s ~procs:1 ~jobs:4 ~warm_rounds)
-      regimes
-  in
-  let cells = forked_cells @ domain_cells in
   let baseline workload store =
     match
       List.find_opt
         (fun p ->
-          p.g_workload = workload && p.g_store = store && p.g_procs = 1
-          && p.g_jobs = 1)
+          p.g_workload = workload && p.g_store = store && p.g_procs = 1)
         cells
     with
     | Some p -> p.g_rps
@@ -1376,18 +1146,17 @@ let gateway_bench ?(json = false) () =
           g_speedup_vs_seq = p.g_rps /. baseline p.g_workload p.g_store })
       cells
   in
-  Printf.printf "%-5s %6s %5s %6s %8s %9s %6s\n" "load" "procs" "jobs"
-    "store" "req/s" "speedup" "ok";
+  Printf.printf "%-5s %6s %6s %8s %9s %6s\n" "load" "procs" "store" "req/s"
+    "speedup" "ok";
   List.iter
     (fun p ->
-      Printf.printf "%-5s %6d %5d %6s %8.2f %8.2fx %6s\n" p.g_workload
-        p.g_procs p.g_jobs p.g_store p.g_rps p.g_speedup_vs_seq
+      Printf.printf "%-5s %6d %6s %8.2f %8.2fx %6s\n" p.g_workload p.g_procs
+        p.g_store p.g_rps p.g_speedup_vs_seq
         (if p.g_deterministic then "yes" else "NO");
       if not p.g_deterministic then
         Printf.printf
-          "WARNING: %s procs=%d jobs=%d %s diverged from the sequential \
-           reference\n"
-          p.g_workload p.g_procs p.g_jobs p.g_store)
+          "WARNING: %s procs=%d %s diverged from the sequential reference\n"
+          p.g_workload p.g_procs p.g_store)
     points;
   if json then begin
     let path = "BENCH_gateway.json" in
@@ -1402,9 +1171,7 @@ let gateway_bench ?(json = false) () =
    to a procs=2 gateway whose workers sleep [simulated_fetch_s] inside
    every cold request; 0.1 s in, the worker the master counts a backlog
    for is SIGKILLed, and the gateway is pumped until every request
-   resolved. Driven by submit + pump on this thread: a process that
-   forks workers may not have spawned a Domain. Returns the renderings
-   and the restart count. *)
+   resolved. Returns the renderings and the restart count. *)
 let gateway_kill_mid_request requests =
   let service =
     { Serve.Service.default_config with Serve.Service.simulated_fetch_s = 0.2 }
@@ -1440,12 +1207,13 @@ let gateway_kill_mid_request requests =
     Serve.Metrics.counter_value
       (Serve.Metrics.counter (Gw.metrics gateway) "gateway.worker_restarts") )
 
-(* The per-PR gateway guard: procs=2 must reproduce the sequential
-   segmentation byte for byte, and a worker killed mid-request must be
-   restarted with the request re-dispatched — the caller sees the
-   correct result, not a typed error. *)
+(* The per-PR gateway guard: procs=1 (one forked worker) and procs=2
+   must each reproduce the sequential segmentation byte for byte, and a
+   worker killed mid-request must be restarted with the request
+   re-dispatched — the caller sees the correct result, not a typed
+   error. *)
 let gateway_smoke () =
-  section "Gateway smoke: procs=2 byte-identity + worker-kill recovery";
+  section "Gateway smoke: procs=1/2 byte-identity + worker-kill recovery";
   let site = Sites.find "ButlerCounty" in
   let generated = Sites.generate site in
   let requests =
@@ -1470,16 +1238,17 @@ let gateway_smoke () =
         Printf.printf "SMOKE FAILURE: %s\n" message)
       fmt
   in
-  (* 1. procs=2 responses byte-identical to procs=1 (inline). *)
-  let run_procs procs =
-    let gateway = Gw.create ~config:{ Gw.default_config with Gw.procs } () in
-    Fun.protect ~finally:(fun () -> Gw.shutdown gateway) @@ fun () ->
-    render_gateway_responses (Gw.run_batch gateway requests)
-  in
-  let inline = run_procs 1 in
-  if inline <> reference then fail "procs=1 diverged from sequential";
-  let forked = run_procs 2 in
-  if forked <> inline then fail "procs=2 diverged from procs=1";
+  (* 1. procs=1 and procs=2 responses byte-identical to sequential. *)
+  List.iter
+    (fun procs ->
+      let gateway = Gw.create ~config:{ Gw.default_config with Gw.procs } () in
+      let rendered =
+        Fun.protect ~finally:(fun () -> Gw.shutdown gateway) @@ fun () ->
+        render_gateway_responses (Gw.run_batch gateway requests)
+      in
+      if rendered <> reference then
+        fail "procs=%d diverged from sequential" procs)
+    [ 1; 2 ];
   (* 2. a worker killed mid-request recovers to the correct result. *)
   let recovered, restarts = gateway_kill_mid_request requests in
   if recovered <> reference then
@@ -1487,7 +1256,7 @@ let gateway_smoke () =
   if restarts < 1 then fail "worker crash was not supervised (no restart)";
   if not !ok then exit 1;
   Printf.printf
-    "smoke ok: procs=2 = procs=1 = sequential (%d pages), crash recovery \
+    "smoke ok: procs=1 = procs=2 = sequential (%d pages), crash recovery \
      via %d restart(s) returned correct results\n"
     (List.length requests) restarts
 
@@ -1731,8 +1500,7 @@ let overload_json ~rates ~waves ~wave_s ~service_s ~deadline_s points =
    workers grind through zombie work whose deadlines already passed, so
    in-deadline completions go to ~zero while backlogs grow without
    bound; shedding keeps the queues holding only winnable work and
-   goodput pinned near capacity. Like the gateway bench, this must run
-   in a fresh process (fork before any domain). *)
+   goodput pinned near capacity. *)
 let overload_bench ?(json = false) () =
   section "Gateway overload: Zipf stampede x degradation ladder";
   let waves = 6 and wave_s = 0.5 in
@@ -2018,8 +1786,7 @@ let daemon_json ~procs ~service_s ~duration_s ~quota_rps ~rate ~burst_s
 
 (* The daemon benchmark: closed-loop connection sweep (1/8/16 conns,
    pipelined ×4) over a Unix socket plus one TCP cell, then the
-   naive-vs-retry quota comparison. Spawns daemons (fork), so like the
-   gateway benches it needs a process of its own. *)
+   naive-vs-retry quota comparison. *)
 let daemon_bench ?(json = false) () =
   section "Daemon: socket front door under concurrent connections";
   let service_s = 0.005 and duration_s = 1.5 in
@@ -2317,7 +2084,6 @@ let corpus_bench ?(json = false) ?sites ?(seed = 7001) () =
     | Some n -> n
     | None -> env_int "TABSEG_CORPUS_SITES" 1000
   in
-  let jobs = env_int "TABSEG_CORPUS_JOBS" 2 in
   section
     (Printf.sprintf "Corpus: %d sampled sites through Serve.Service" sites);
   let max_rows_per_page = env_int "TABSEG_CORPUS_MAX_PAGE" 12 in
@@ -2326,7 +2092,7 @@ let corpus_bench ?(json = false) ?sites ?(seed = 7001) () =
   in
   let specs = Corpus_family.sample params in
   let siblings = env_int "TABSEG_CORPUS_SIBLINGS" 2 in
-  let config = { Corpus_harness.default_config with jobs; siblings } in
+  let config = { Corpus_harness.default_config with siblings } in
   let report = Corpus_harness.evaluate ~config specs in
   print_string (Corpus_harness.render_report report);
   (* The per-family floors only mean something at the scale and seed
@@ -2374,9 +2140,8 @@ let corpus_smoke () =
   in
   let params = { Corpus_family.default_params with sites = 24; seed = 11 } in
   let specs = Corpus_family.sample params in
-  let config = { Corpus_harness.default_config with jobs = 1 } in
-  let report = Corpus_harness.evaluate ~config specs in
-  let again = Corpus_harness.evaluate ~config specs in
+  let report = Corpus_harness.evaluate specs in
+  let again = Corpus_harness.evaluate specs in
   if report.Corpus_harness.sites <> params.Corpus_family.sites then
     fail "expected %d sites, evaluated %d" params.Corpus_family.sites
       report.Corpus_harness.sites;
@@ -2776,7 +2541,7 @@ let () =
       [ "table1"; "table2"; "table3"; "table4"; "clean17"; "figure1";
         "figure23";
         "ablation"; "ablation-csp"; "vision"; "sweep"; "faults"; "wrapper";
-        "baseline"; "throughput"; "store"; "timing" ]
+        "baseline"; "store"; "timing" ]
   in
   let table4_cache = ref None in
   List.iter
@@ -2795,7 +2560,6 @@ let () =
       | "sweep" -> sweep ()
       | "faults" -> fault_sweep ()
       | "faults-smoke" -> fault_sweep ~smoke:true ()
-      | "throughput" -> ignore (throughput ~json ())
       | "serve-smoke" -> serve_smoke ()
       | "store" -> store_bench ~json ()
       | "store-smoke" -> store_smoke ()

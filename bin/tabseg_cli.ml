@@ -313,21 +313,14 @@ let auto_cmd =
     in
     Arg.(value & flag & info [ "report" ] ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Segment list pages on this many worker domains (through the \
-       serving layer). 1 = sequential; results are identical either way."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
-  in
   let procs_arg =
     let doc =
       "Shard segmentation across this many worker processes through \
-       the gateway (master + forked workers over socket RPC). 1 runs \
-       inline with no fork. Combine with --store so the workers share \
-       one warm cache directory: the first to grab the lock writes, \
-       the rest read and offload their writes back to it. Results are \
-       byte-identical to a sequential run."
+       the gateway (master + forked workers over socket RPC). 1 \
+       segments in this process, with no gateway. Combine with --store \
+       so the workers share one warm cache directory: the first to grab \
+       the lock writes, the rest read and offload their writes back to \
+       it. Results are byte-identical to a sequential run."
     in
     Arg.(value & opt int 1 & info [ "procs" ] ~doc ~docv:"N")
   in
@@ -424,7 +417,7 @@ let auto_cmd =
       & info [ "deadline" ] ~doc ~docv:"SECONDS")
   in
   let run method_ site_name fault_rate fault_seed permanent retries
-      show_report jobs procs cache_mb show_metrics metrics_json stream
+      show_report procs cache_mb show_metrics metrics_json stream
       store_dir spill_threshold site_quota shed deadline =
     match Tabseg_sitegen.Sites.find site_name with
     | exception Not_found ->
@@ -453,7 +446,7 @@ let auto_cmd =
         }
       in
       let use_service =
-        jobs > 1 || procs > 1 || show_metrics || metrics_json <> None
+        procs > 1 || show_metrics || metrics_json <> None
         || stream || store_dir <> None
       in
       let report, metrics_dump, metrics_json_payload =
@@ -476,8 +469,7 @@ let auto_cmd =
               service =
                 {
                   Service.default_config with
-                  Service.jobs;
-                  method_;
+                  Service.method_;
                   cache =
                     (if cache_mb > 0 then
                        Some
@@ -554,8 +546,7 @@ let auto_cmd =
           let config =
             {
               Service.default_config with
-              Service.jobs;
-              method_;
+              Service.method_;
               cache =
                 (if cache_mb > 0 then
                    Some { Cache.default_config with Cache.capacity_mb = cache_mb }
@@ -658,7 +649,7 @@ let auto_cmd =
              and in parallel through the serving layer")
     Term.(
       const run $ method_arg $ site_arg $ faults_arg $ fault_seed_arg
-      $ permanent_arg $ retries_arg $ report_arg $ jobs_arg $ procs_arg
+      $ permanent_arg $ retries_arg $ report_arg $ procs_arg
       $ cache_mb_arg $ metrics_arg $ metrics_json_arg $ stream_arg
       $ store_arg $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
 
@@ -675,7 +666,7 @@ let address_conv =
   in
   Arg.conv ~docv:"ADDR" (parse, print)
 
-let gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir ~spill_threshold
+let gateway_config ~method_ ~procs ~cache_mb ~store_dir ~spill_threshold
     ~site_quota ~shed ~deadline =
   let open Tabseg_serve in
   let open Tabseg_gateway in
@@ -689,8 +680,7 @@ let gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir ~spill_threshold
     service =
       {
         Service.default_config with
-        Service.jobs;
-        method_;
+        Service.method_;
         cache =
           (if cache_mb > 0 then
              Some { Cache.default_config with Cache.capacity_mb = cache_mb }
@@ -757,12 +747,11 @@ let serve_cmd =
       & info [ "drain-grace" ] ~doc ~docv:"SECONDS")
   in
   let procs_arg =
-    let doc = "Worker processes behind the gateway (1 = inline, no fork)." in
+    let doc =
+      "Worker processes behind the gateway; the daemon's own loop never \
+       segments."
+    in
     Arg.(value & opt int 2 & info [ "procs" ] ~doc ~docv:"N")
-  in
-  let jobs_arg =
-    let doc = "Worker domains per process." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
   in
   let cache_mb_arg =
     let doc =
@@ -802,7 +791,7 @@ let serve_cmd =
       & info [ "deadline" ] ~doc ~docv:"SECONDS")
   in
   let run method_ listen auth_token idle_timeout max_conn_inflight
-      max_connections drain_grace procs jobs cache_mb store_dir spill_threshold
+      max_connections drain_grace procs cache_mb store_dir spill_threshold
       site_quota shed deadline =
     let config =
       {
@@ -814,7 +803,7 @@ let serve_cmd =
         max_connections;
         drain_grace_s = drain_grace;
         gateway =
-          gateway_config ~method_ ~jobs ~procs ~cache_mb ~store_dir
+          gateway_config ~method_ ~procs ~cache_mb ~store_dir
             ~spill_threshold ~site_quota ~shed ~deadline;
       }
     in
@@ -842,7 +831,7 @@ let serve_cmd =
              front door over the multi-process gateway")
     Term.(
       const run $ method_arg $ listen_arg $ auth_arg $ idle_arg $ inflight_arg
-      $ max_conns_arg $ drain_grace_arg $ procs_arg $ jobs_arg $ cache_mb_arg
+      $ max_conns_arg $ drain_grace_arg $ procs_arg $ cache_mb_arg
       $ store_arg $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
 
 (* ------------------------------ corpus ------------------------------ *)
@@ -935,10 +924,6 @@ let corpus_gen_cmd =
       $ out_arg $ max_pages_arg)
 
 let corpus_eval_cmd =
-  let jobs_arg =
-    let doc = "Service worker domains (<= 1 runs inline)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
-  in
   let siblings_arg =
     let doc = "Extra list pages given to template induction." in
     Arg.(
@@ -967,14 +952,13 @@ let corpus_eval_cmd =
       & opt method_conv Tabseg.Api.Probabilistic
       & info [ "m"; "method" ] ~doc)
   in
-  let run sites seed max_rows_per_page method_ jobs siblings worst json_path =
+  let run sites seed max_rows_per_page method_ siblings worst json_path =
     let params = corpus_params ~sites ~seed ~max_rows_per_page in
     let specs = Corpus_family.sample params in
     let config =
       {
         Corpus_harness.default_config with
         Corpus_harness.method_;
-        jobs;
         siblings;
         worst_k = worst;
       }
@@ -993,7 +977,7 @@ let corpus_eval_cmd =
              service and report P/R/F distributions")
     Term.(
       const run $ corpus_sites_arg $ corpus_seed_arg $ corpus_max_page_arg
-      $ corpus_method_arg $ jobs_arg $ siblings_arg $ worst_arg $ json_arg)
+      $ corpus_method_arg $ siblings_arg $ worst_arg $ json_arg)
 
 let corpus_cmd =
   Cmd.group

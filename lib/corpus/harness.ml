@@ -4,7 +4,6 @@ module Service = Tabseg_serve.Service
 
 type config = {
   method_ : Tabseg.Api.method_;
-  jobs : int;
   cache : bool;
   siblings : int;
   batch : int;
@@ -14,7 +13,6 @@ type config = {
 let default_config =
   {
     method_ = Tabseg.Api.Probabilistic;
-    jobs = 1;
     cache = true;
     siblings = 3;
     batch = 24;
@@ -201,7 +199,6 @@ let evaluate ?(config = default_config) specs =
   let service_config =
     {
       Service.default_config with
-      jobs = config.jobs;
       method_ = config.method_;
       cache =
         (if config.cache then Service.default_config.Service.cache else None);
@@ -326,10 +323,9 @@ let report_json ~params ~config report =
     params.Family.optional_p params.Family.missing_p
     params.Family.contamination;
   add
-    "  \"config\": {\"method\": \"%s\", \"jobs\": %d, \"cache\": %b, \
-     \"siblings\": %d},\n"
+    "  \"config\": {\"method\": \"%s\", \"cache\": %b, \"siblings\": %d},\n"
     (Tabseg.Api.method_name config.method_)
-    config.jobs config.cache config.siblings;
+    config.cache config.siblings;
   add "  \"sites\": %d,\n" report.sites;
   add "  \"errors\": %d,\n" report.errors;
   add "  \"micro\": %s,\n" (json_counts report.total);

@@ -1,8 +1,8 @@
 (** Corpus-scale evaluation: run the full pipeline over a sampled corpus
-    through {!Tabseg_serve.Service} (so caching and worker parallelism are
-    exercised) and report accuracy {e distributions} — percentiles,
-    histograms, per-family breakdowns and worst-k site digests — rather
-    than the single mean the 12-site table gives.
+    through one {!Tabseg_serve.Service} (so caching is exercised) and
+    report accuracy {e distributions} — percentiles, histograms,
+    per-family breakdowns and worst-k site digests — rather than the
+    single mean the 12-site table gives.
 
     Scoring follows the paper's protocol on the first list page of every
     site: the page is segmented with the target page first plus a bounded
@@ -11,15 +11,16 @@
 
 type config = {
   method_ : Tabseg.Api.method_;
-  jobs : int;  (** service worker domains; <= 1 runs inline *)
   cache : bool;
   siblings : int;  (** extra list pages given to template induction *)
-  batch : int;  (** requests per [Service.run_batch] wave (queue bound) *)
+  batch : int;
+      (** requests per [Service.run_batch] wave: the inputs generated and
+          held at once *)
   worst_k : int;  (** how many worst sites the report digests *)
 }
 
 val default_config : config
-(** Probabilistic, 1 job, cache on, 3 siblings, batches of 24, worst 8. *)
+(** Probabilistic, cache on, 3 siblings, batches of 24, worst 8. *)
 
 type site_result = {
   r_name : string;

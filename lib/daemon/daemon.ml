@@ -577,9 +577,9 @@ let turn t =
 let serve t =
   if not t.finished then begin
     (* A client vanishing mid-write must come back as EPIPE from the
-       socket, never as a process-killing signal. (Redundant with the
-       forked gateway's own setting, but procs<=1 runs inline and sets
-       nothing.) *)
+       socket, never as a process-killing signal. The gateway has
+       ignored SIGPIPE since [create], but the embedding process may
+       have installed a handler since. *)
     let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
     let sigterm =
       Sys.signal Sys.sigterm
@@ -679,11 +679,6 @@ let spawn ?(config = default_config) () =
         ("daemon spawn failed: "
         ^ if line = "" then "no report (child died)" else line)
     end
-[@@tabseg.allow "fork-after-domain"
-    "spawn forks the daemon child before this process creates any \
-     domain (callers are tests/bench drivers that fork daemons first); \
-     inside the child, gateway workers fork before their pools spawn \
-     domains — the same staging create() itself relies on"]
 
 let stop handle =
   (try Unix.kill handle.pid Sys.sigterm with Unix.Unix_error _ -> ());

@@ -129,7 +129,21 @@ type pending = {
   mutable p_outcome : response option;
 }
 
-type forked = {
+(* Per-site admission token bucket ([site_quota_rps]). [b_next_hint] is
+   the next refill instant not yet promised to a rejected client, so
+   simultaneous rejections receive spread-out [retry_after_s] hints
+   instead of all naming the same refilled token (which would turn a
+   naive client herd into a synchronized retry stampede). *)
+type bucket = {
+  mutable b_tokens : float;
+  mutable b_stamp : float;
+  mutable b_next_hint : float;
+}
+
+type t = {
+  cfg : config;
+  capacity : int;
+  registry : Metrics.t;
   slots : slot array;
   pending : (int, pending) Hashtbl.t;  (* seq -> in-flight request *)
   (* seq -> slot index, for every frame enqueued to a live worker and
@@ -160,26 +174,6 @@ type forked = {
      bytes within the workers' cache budget; [None] when the workers
      run without a cache. *)
   memo : Codec.body Shard.t option;
-}
-
-type mode = Inline of Service.t | Forked of forked
-
-(* Per-site admission token bucket ([site_quota_rps]). [b_next_hint] is
-   the next refill instant not yet promised to a rejected client, so
-   simultaneous rejections receive spread-out [retry_after_s] hints
-   instead of all naming the same refilled token (which would turn a
-   naive client herd into a synchronized retry stampede). *)
-type bucket = {
-  mutable b_tokens : float;
-  mutable b_stamp : float;
-  mutable b_next_hint : float;
-}
-
-type t = {
-  cfg : config;
-  capacity : int;
-  registry : Metrics.t;
-  mode : mode;
   quota : (string, bucket) Hashtbl.t;
   mutable g_draining : bool;
   mutable shut : bool;
@@ -208,15 +202,15 @@ let now () = Unix.gettimeofday ()
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let live_fds forked =
-  Array.to_list forked.slots
+let live_fds t =
+  Array.to_list t.slots
   |> List.filter_map (fun slot ->
          match slot.s_state with Live c -> Some (Conn.fd c.c_chan) | _ -> None)
 
 (* Fork one worker for [slot]. The child closes every other worker's
    parent-side socket it inherited — otherwise a sibling holding the
    descriptor open would mask a dead worker's EOF from the master. *)
-let fork_worker ~service_config forked index =
+let fork_worker t index =
   flush stdout;
   flush stderr;
   let parent_fd, child_fd =
@@ -231,17 +225,17 @@ let fork_worker ~service_config forked index =
   with
   | 0 ->
     close_quietly parent_fd;
-    List.iter close_quietly (live_fds forked);
-    List.iter close_quietly (forked.fork_hook ());
+    List.iter close_quietly (live_fds t);
+    List.iter close_quietly (t.fork_hook ());
     Sys.set_signal Sys.sigterm Sys.Signal_default;
     Sys.set_signal Sys.sigpipe Sys.Signal_default;
-    (try Worker.run ~socket:child_fd ~config:service_config
+    (try Worker.run ~socket:child_fd ~config:t.cfg.service
      with _ -> Unix._exit 98);
     Unix._exit 0
   | pid ->
     close_quietly child_fd;
     Unix.set_nonblock parent_fd;
-    forked.slots.(index).s_state <-
+    t.slots.(index).s_state <-
       Live
         {
           c_pid = pid;
@@ -250,69 +244,49 @@ let fork_worker ~service_config forked index =
           c_ping = None;
           c_ping_last = Unix.gettimeofday ();
         }
-[@@tabseg.allow "fork-after-domain"
-    "the master forks every worker before any domain can exist in this \
-     process: domains are spawned by Serve.Pool inside the workers \
-     (post-fork) or by the procs<=1 inline mode, which never forks"]
 
 let create ?(config = default_config) () =
+  let procs = max config.procs 1 in
   let registry = Metrics.create () in
   let capacity =
     match config.max_inflight with
     | Some c -> max c 1
-    | None -> 128 * max config.procs 1
+    | None -> 128 * procs
   in
-  let mode =
-    if config.procs <= 1 then
-      (* No fork: the master itself hosts the service. *)
-      Inline (Service.create ~config:config.service ())
-    else begin
-      (* A worker death must come back from [write] as EPIPE, never as
-         a process-killing signal. *)
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      let forked =
-        {
-          slots =
-            Array.init config.procs (fun i ->
-                {
-                  s_index = i;
-                  s_state = Restarting 0.;
-                  s_restarts = 0;
-                  s_busy = 0;
-                  s_ewma = None;
-                  s_reply_mark = 0.;
-                });
-          pending = Hashtbl.create 64;
-          dispatched = Hashtbl.create 64;
-          resolved = Queue.create ();
-          fork_hook = (fun () -> []);
-          next_seq = 0;
-          next_token = 0;
-          pongs = Hashtbl.create 8;
-          zombies = [];
-          memo =
-            Option.map
-              (fun (cache : Cache.config) ->
-                Shard.create ~shards:1
-                  ~capacity:(cache.Cache.capacity_mb * 1024 * 1024)
-                  ~cost:(fun (body : Codec.body) ->
-                    String.length (body :> string))
-                  ())
-              config.service.Service.cache;
-        }
-      in
-      Array.iteri
-        (fun i _ -> fork_worker ~service_config:config.service forked i)
-        forked.slots;
-      Forked forked
-    end
-  in
+  (* A worker death must come back from [write] as EPIPE, never as a
+     process-killing signal. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t =
     {
       cfg = config;
       capacity;
       registry;
-      mode;
+      slots =
+        Array.init procs (fun i ->
+            {
+              s_index = i;
+              s_state = Restarting 0.;
+              s_restarts = 0;
+              s_busy = 0;
+              s_ewma = None;
+              s_reply_mark = 0.;
+            });
+      pending = Hashtbl.create 64;
+      dispatched = Hashtbl.create 64;
+      resolved = Queue.create ();
+      fork_hook = (fun () -> []);
+      next_seq = 0;
+      next_token = 0;
+      pongs = Hashtbl.create 8;
+      zombies = [];
+      memo =
+        Option.map
+          (fun (cache : Cache.config) ->
+            Shard.create ~shards:1
+              ~capacity:(cache.Cache.capacity_mb * 1024 * 1024)
+              ~cost:(fun (body : Codec.body) -> String.length (body :> string))
+              ())
+          config.service.Service.cache;
       quota = Hashtbl.create 16;
       g_draining = false;
       shut = false;
@@ -339,24 +313,21 @@ let create ?(config = default_config) () =
           "gateway.stream.time_to_first_record_seconds";
     }
   in
-  Metrics.set (Metrics.gauge registry "gateway.procs")
-    (float_of_int (max config.procs 1));
+  Array.iteri (fun i _ -> fork_worker t i) t.slots;
+  Metrics.set (Metrics.gauge registry "gateway.procs") (float_of_int procs);
   t
 
 let config t = t.cfg
-let procs t = max t.cfg.procs 1
+let procs t = Array.length t.slots
 let metrics t = t.registry
 let draining t = t.g_draining
 
 let live_workers t f =
-  match t.mode with
-  | Inline _ -> []
-  | Forked forked ->
-    Array.to_list forked.slots
-    |> List.filter_map (fun slot ->
-           match slot.s_state with
-           | Live c -> Some (f slot.s_index c)
-           | Restarting _ | Failed -> None)
+  Array.to_list t.slots
+  |> List.filter_map (fun slot ->
+         match slot.s_state with
+         | Live c -> Some (f slot.s_index c)
+         | Restarting _ | Failed -> None)
 
 let worker_pids t = live_workers t (fun slot c -> (slot, c.c_pid))
 
@@ -423,14 +394,14 @@ let quota_admit t (request : Service.request) =
    down), the request goes to the least-loaded live worker instead,
    trading cache locality for tail latency. Deterministic: ties break
    to the lowest slot index. Returns the slot and whether it spilled. *)
-let choose_slot t forked site =
-  let preferred = slot_of_site ~procs:t.cfg.procs site in
+let choose_slot t site =
+  let preferred = slot_of_site ~procs:(procs t) site in
   match t.cfg.spill_threshold with
   | None -> (preferred, false)
   | Some threshold ->
     let load index =
-      match forked.slots.(index).s_state with
-      | Live _ -> Some forked.slots.(index).s_busy
+      match t.slots.(index).s_state with
+      | Live _ -> Some t.slots.(index).s_busy
       | Restarting _ | Failed -> None
     in
     let preferred_ok =
@@ -449,7 +420,7 @@ let choose_slot t forked site =
             | Some (_, best_busy) when best_busy <= busy -> ()
             | _ -> best := Some (slot.s_index, busy))
           | None -> ())
-        forked.slots;
+        t.slots;
       match !best with
       | Some (index, _) when index <> preferred -> (index, true)
       | Some _ | None -> (preferred, false)
@@ -466,11 +437,11 @@ let ewma_alpha = 0.3
    polluted by past expiries (an expiry observes ~the deadline), so it
    only sheds off a non-empty backlog — an idle worker with no genuine
    measurement always gets the request. *)
-let shed_check t forked index =
+let shed_check t index =
   match (t.cfg.shed, t.cfg.deadline_s) with
   | false, _ | _, None -> Ok ()
   | true, Some deadline_s -> (
-    let slot = forked.slots.(index) in
+    let slot = t.slots.(index) in
     let estimate =
       match slot.s_ewma with
       | Some e -> Some (e, true)
@@ -489,20 +460,20 @@ let shed_check t forked index =
 (* A request frame was committed to [index]'s outbox: it now counts
    against that worker's backlog until a Response for its seq arrives
    or the worker dies. *)
-let track_dispatch forked index seq =
-  let slot = forked.slots.(index) in
+let track_dispatch t index seq =
+  let slot = t.slots.(index) in
   if slot.s_busy = 0 then slot.s_reply_mark <- now ();
   slot.s_busy <- slot.s_busy + 1;
-  Hashtbl.replace forked.dispatched seq index
+  Hashtbl.replace t.dispatched seq index
 
 (* A Response for [seq] arrived (on time or late): release the backlog
    slot and fold the observed service interval into the worker's EWMA. *)
-let untrack_dispatch forked seq =
-  match Hashtbl.find_opt forked.dispatched seq with
+let untrack_dispatch t seq =
+  match Hashtbl.find_opt t.dispatched seq with
   | None -> ()
   | Some index ->
-    Hashtbl.remove forked.dispatched seq;
-    let slot = forked.slots.(index) in
+    Hashtbl.remove t.dispatched seq;
+    let slot = t.slots.(index) in
     slot.s_busy <- max 0 (slot.s_busy - 1);
     let at = now () in
     let sample = at -. slot.s_reply_mark in
@@ -513,14 +484,14 @@ let untrack_dispatch forked seq =
         | None -> sample
         | Some e -> (ewma_alpha *. sample) +. ((1. -. ewma_alpha) *. e))
 
-let publish_worker_gauges t forked =
+let publish_worker_gauges t =
   Array.iter
     (fun slot ->
       Metrics.set
         (Metrics.gauge t.registry
            (Printf.sprintf "gateway.worker%d.inflight" slot.s_index))
         (float_of_int slot.s_busy))
-    forked.slots
+    t.slots
 
 (* ------------------------- result accounting ------------------------ *)
 
@@ -536,23 +507,23 @@ let count_outcome t = function
     | Shed _ -> Metrics.incr t.m_shed
     | Draining | Service_error _ -> ())
 
-let resolve t forked pending response =
+let resolve t pending response =
   if pending.p_outcome = None then begin
     pending.p_outcome <- Some response;
     Metrics.observe t.m_turnaround_s (now () -. pending.p_submitted);
     count_outcome t response.outcome;
-    Queue.push pending forked.resolved
+    Queue.push pending t.resolved
   end
 
 (* Run completion callbacks for everything [resolve] queued. Only
    called at event-loop safe points (never while iterating [pending]);
    pop-per-item keeps it reentrancy-safe should a callback submit new
    work. Returns how many callbacks ran. *)
-let deliver_resolved forked =
+let deliver_resolved t =
   let delivered = ref 0 in
-  while not (Queue.is_empty forked.resolved) do
-    let pending = Queue.pop forked.resolved in
-    Hashtbl.remove forked.pending pending.p_seq;
+  while not (Queue.is_empty t.resolved) do
+    let pending = Queue.pop t.resolved in
+    Hashtbl.remove t.pending pending.p_seq;
     incr delivered;
     match pending.p_outcome with
     | Some response -> pending.p_on_complete response
@@ -578,8 +549,8 @@ let of_service_reply (reply : Service.reply) =
 
 (* The memo and a plain request's key in it; streams are never keyed,
    their records need the decoded result. *)
-let memo_key t forked ~stream (request : Service.request) =
-  match forked.memo with
+let memo_key t ~stream (request : Service.request) =
+  match t.memo with
   | Some memo when not stream ->
     Some
       ( memo,
@@ -603,8 +574,8 @@ let memo_answer t (request : Service.request) ~started body =
 
 (* A keyed request's Ok reply: its body answers the next request that
    carries the same input. *)
-let remember t forked pending response =
-  match (forked.memo, pending.p_key, response.outcome) with
+let remember t pending response =
+  match (t.memo, pending.p_key, response.outcome) with
   | Some memo, Some key, Ok body ->
     Shard.store memo key body;
     Metrics.set t.g_memo_bytes (float_of_int (Shard.stats memo).Shard.cost)
@@ -619,7 +590,7 @@ let enqueue_frame conn frame seq =
 
 (* Commit [pending]'s frame to the live worker of its slot; the frame
    type follows from whether the caller streams. *)
-let dispatch forked conn pending =
+let dispatch t conn pending =
   let seq = pending.p_seq and request = pending.p_request in
   let frame =
     match pending.p_on_record with
@@ -627,32 +598,32 @@ let dispatch forked conn pending =
     | Some _ -> Wire.Stream_request { seq; request }
   in
   enqueue_frame conn (Wire.encode frame) (Some seq);
-  track_dispatch forked pending.p_slot seq
+  track_dispatch t pending.p_slot seq
 
 (* Push the (re)dispatchable frames of every unresolved pending request
    assigned to a now-live slot. Called right after a fork. *)
-let dispatch_pending_to forked index conn =
+let dispatch_pending_to t index conn =
   Hashtbl.iter
     (fun _ pending ->
       if pending.p_slot = index && pending.p_outcome = None then
-        dispatch forked conn pending)
-    forked.pending
+        dispatch t conn pending)
+    t.pending
 
 (* A worker's socket went dead: close it, account the death, schedule a
    restart (or fail the slot), and decide the fate of its in-flight
    requests — re-dispatch each at most once. *)
-let worker_dead t forked slot conn reason =
+let worker_dead t slot conn reason =
   close_quietly (Conn.fd conn.c_chan);
-  forked.zombies <- conn.c_pid :: forked.zombies;
+  t.zombies <- conn.c_pid :: t.zombies;
   (* Whatever the worker was holding died with it: wipe its backlog so
      the replacement starts with clean load accounting (surviving
      pendings are re-tracked when they are re-dispatched). *)
   let held =
     Hashtbl.fold
       (fun seq index acc -> if index = slot.s_index then seq :: acc else acc)
-      forked.dispatched []
+      t.dispatched []
   in
-  List.iter (Hashtbl.remove forked.dispatched) held;
+  List.iter (Hashtbl.remove t.dispatched) held;
   slot.s_busy <- 0;
   let can_restart = (not t.shut) && slot.s_restarts < t.cfg.max_restarts in
   if can_restart then begin
@@ -670,7 +641,7 @@ let worker_dead t forked slot conn reason =
       if pending.p_slot = slot.s_index && pending.p_outcome = None then
         if pending.p_redispatched || pending.p_frames > 0 || not can_restart
         then
-          resolve t forked pending
+          resolve t pending
             {
               id = pending.p_request.Service.id;
               outcome = Error (Worker_lost reason);
@@ -682,42 +653,33 @@ let worker_dead t forked slot conn reason =
           pending.p_dispatched <- None;
           Metrics.incr t.m_redispatches
         end)
-    forked.pending
+    t.pending
 
-let reap forked =
-  forked.zombies <-
+let reap t =
+  t.zombies <-
     List.filter
       (fun pid ->
         match Unix.waitpid [ Unix.WNOHANG ] pid with
         | 0, _ -> true
         | _ -> false
         | exception Unix.Unix_error _ -> false)
-      forked.zombies
+      t.zombies
 
-let worker_gauge t slot name =
-  Metrics.gauge t.registry
-    (Printf.sprintf "gateway.worker%d.%s" slot.s_index name)
-
-let handle_message t forked slot conn = function
-  | Wire.Hello { role; jobs; queue_capacity; _ } ->
-    conn.c_role <- Some role;
-    Metrics.set (worker_gauge t slot "jobs") (float_of_int jobs);
-    Metrics.set
-      (worker_gauge t slot "pool_queue_capacity")
-      (float_of_int queue_capacity)
+let handle_message t conn = function
+  | Wire.Hello { role; _ } -> conn.c_role <- Some role
   | Wire.Pong token -> (
     match conn.c_ping with
     | Some (expected, _) when expected = token ->
       (* A heartbeat answer, not a health probe's: just clear it. *)
       conn.c_ping <- None
-    | _ -> Hashtbl.replace forked.pongs token ())
+    | _ -> Hashtbl.replace t.pongs token ())
   | Wire.Response { seq; reply } | Wire.Stream_done { seq; reply } -> (
-    untrack_dispatch forked seq;
-    match Hashtbl.find_opt forked.pending seq with
+    untrack_dispatch t seq;
+    match Hashtbl.find_opt t.pending seq with
     | Some pending when pending.p_outcome = None ->
       let response = of_service_reply reply in
-      remember t forked pending response;
-      resolve t forked pending response
+      remember t pending response;
+      resolve t pending response
     | Some _ | None ->
       (* Deadline already resolved it, or it belongs to a previous
          batch: late, counted, dropped. *)
@@ -727,7 +689,7 @@ let handle_message t forked slot conn = function
        stream. Safe to call directly: message handling never runs
        inside an iteration over [pending]. Frames for an already
        resolved stream (deadline expiry) are late, counted, dropped. *)
-    match Hashtbl.find_opt forked.pending seq with
+    match Hashtbl.find_opt t.pending seq with
     | Some pending when pending.p_outcome = None ->
       pending.p_frames <- pending.p_frames + 1;
       if pending.p_frames = 1 then
@@ -744,14 +706,14 @@ let handle_message t forked slot conn = function
    and hand each decoded payload to the dispatcher. A payload the
    framing accepted but [Marshal] rejects is the same betrayal as a bad
    CRC — the stream has no resync, so the worker is declared dead. *)
-let read_step t forked slot conn =
+let read_step t slot conn =
   let { Conn.frames; closed; _ } = Conn.read_step conn.c_chan in
   let dead = ref None in
   List.iter
     (fun payload ->
       if !dead = None then
         match Wire.decode_payload payload with
-        | Ok message -> handle_message t forked slot conn message
+        | Ok message -> handle_message t conn message
         | Error _ -> dead := Some "protocol error on socket")
     frames;
   (match (!dead, closed) with
@@ -759,16 +721,16 @@ let read_step t forked slot conn =
   | None, Some reason -> dead := Some (Conn.close_reason_message reason)
   | None, None -> ());
   match !dead with
-  | Some reason -> worker_dead t forked slot conn reason
+  | Some reason -> worker_dead t slot conn reason
   | None -> ()
 
-let write_step t forked slot conn =
+let write_step t slot conn =
   match Conn.write_step conn.c_chan with
-  | `Closed -> worker_dead t forked slot conn "broken pipe on dispatch"
+  | `Closed -> worker_dead t slot conn "broken pipe on dispatch"
   | `Sent seqs ->
     List.iter
       (fun seq ->
-        match Hashtbl.find_opt forked.pending seq with
+        match Hashtbl.find_opt t.pending seq with
         | Some pending when pending.p_dispatched = None ->
           pending.p_dispatched <- Some (now ());
           Metrics.observe t.m_dispatch_s (now () -. pending.p_submitted)
@@ -777,18 +739,18 @@ let write_step t forked slot conn =
 
 (* Restart every slot whose backoff has elapsed, and re-dispatch its
    surviving pendings to the replacement. *)
-let restart_due t forked =
+let restart_due t =
   if not t.shut then
     Array.iter
       (fun slot ->
         match slot.s_state with
         | Restarting at when at <= now () ->
-          fork_worker ~service_config:t.cfg.service forked slot.s_index;
+          fork_worker t slot.s_index;
           (match slot.s_state with
-          | Live conn -> dispatch_pending_to forked slot.s_index conn
+          | Live conn -> dispatch_pending_to t slot.s_index conn
           | _ -> ())
         | _ -> ())
-      forked.slots
+      t.slots
 
 (* Wedged-worker detection ([ping_timeout_s]): every live worker owes a
    Pong within the timeout of a heartbeat Ping. A worker that stops
@@ -799,7 +761,7 @@ let restart_due t forked =
    the timeout must exceed the worst queue drain the caller is willing
    to tolerate; [None] (the default) keeps today's behavior where only
    the socket decides life and death. *)
-let heartbeat t forked =
+let heartbeat t =
   match t.cfg.ping_timeout_s with
   | None -> ()
   | Some timeout ->
@@ -812,25 +774,25 @@ let heartbeat t forked =
             Metrics.incr t.m_ping_timeouts;
             (try Unix.kill conn.c_pid Sys.sigkill
              with Unix.Unix_error _ -> ());
-            worker_dead t forked slot conn "ping timeout (worker wedged)"
+            worker_dead t slot conn "ping timeout (worker wedged)"
           | Some _ -> ()
           | None ->
             if now () -. conn.c_ping_last >= timeout /. 2. then begin
-              let token = forked.next_token in
-              forked.next_token <- token + 1;
+              let token = t.next_token in
+              t.next_token <- token + 1;
               enqueue_frame conn (Wire.encode (Wire.Ping token)) None;
               conn.c_ping <- Some (token, now ());
               conn.c_ping_last <- now ()
             end)
         | Restarting _ | Failed -> ())
-      forked.slots
+      t.slots
 
-let expire_deadlines t forked =
+let expire_deadlines t =
   Hashtbl.iter
     (fun _ pending ->
       match (pending.p_outcome, pending.p_deadline) with
       | None, Some deadline when deadline <= now () ->
-        resolve t forked pending
+        resolve t pending
           {
             id = pending.p_request.Service.id;
             outcome = Error Deadline_exceeded;
@@ -838,12 +800,12 @@ let expire_deadlines t forked =
             latency_s = 0.;
           }
       | _ -> ())
-    forked.pending
+    t.pending
 
 (* Earliest instant anything is scheduled to happen: a deadline expiry,
    a slot restart, or the next heartbeat turn. Bounds the select
    timeout. *)
-let next_event_in t forked =
+let next_event_in t =
   let soonest = ref 0.25 in
   let note at =
     let dt = at -. now () in
@@ -855,27 +817,27 @@ let next_event_in t forked =
   Array.iter
     (fun slot ->
       match slot.s_state with Restarting at -> note at | _ -> ())
-    forked.slots;
+    t.slots;
   Hashtbl.iter
     (fun _ pending ->
       match (pending.p_outcome, pending.p_deadline) with
       | None, Some deadline -> note deadline
       | _ -> ())
-    forked.pending;
+    t.pending;
   !soonest
 
 (* One turn of the master loop: fire timers, move bytes, parse frames,
    deliver completions. Never blocks longer than the next scheduled
    event, [max_wait_s] if the caller's own loop owns the real select
    (the daemon), or at all while completions are waiting. *)
-let step ?(max_wait_s = infinity) t forked =
-  restart_due t forked;
-  heartbeat t forked;
-  expire_deadlines t forked;
-  reap forked;
-  let delivered = deliver_resolved forked in
+let step ?(max_wait_s = infinity) t =
+  restart_due t;
+  heartbeat t;
+  expire_deadlines t;
+  reap t;
+  let delivered = deliver_resolved t in
   let conns =
-    Array.to_list forked.slots
+    Array.to_list t.slots
     |> List.filter_map (fun slot ->
            match slot.s_state with Live c -> Some (slot, c) | _ -> None)
   in
@@ -887,7 +849,7 @@ let step ?(max_wait_s = infinity) t forked =
   in
   let timeout =
     if delivered > 0 then 0.
-    else Float.min (next_event_in t forked) max_wait_s
+    else Float.min (next_event_in t) max_wait_s
   in
   (match Unix.select reads writes [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -895,19 +857,19 @@ let step ?(max_wait_s = infinity) t forked =
     List.iter
       (fun (slot, conn) ->
         if List.mem (Conn.fd conn.c_chan) writable then
-          write_step t forked slot conn)
+          write_step t slot conn)
       conns;
     List.iter
       (fun (slot, conn) ->
         match slot.s_state with
         | Live current when current == conn ->
           if List.mem (Conn.fd conn.c_chan) readable then
-            read_step t forked slot conn
+            read_step t slot conn
         | _ -> () (* the write step already declared it dead *))
       conns);
-  ignore (deliver_resolved forked);
+  ignore (deliver_resolved t);
   (* after the reads, so the gauges hold the backlog this turn left *)
-  publish_worker_gauges t forked
+  publish_worker_gauges t
 
 (* --------------------------- the public API ------------------------- *)
 
@@ -920,94 +882,60 @@ let step ?(max_wait_s = infinity) t forked =
    a stream of completions it can order per client connection. *)
 let submit_common t ?on_record ~on_complete (request : Service.request) =
   if t.g_draining || t.shut then on_complete (refusal t request Draining)
+  (* The ladder runs in order: the global inflight cap, the per-site
+     quota, the memo, spill-aware placement, then the deadline-
+     feasibility check against the chosen worker's backlog. Only a
+     request that clears all five becomes a pending. *)
+  else if Hashtbl.length t.pending >= t.capacity then
+    on_complete
+      (refusal t request
+         (Gateway_overloaded
+            { inflight = Hashtbl.length t.pending; capacity = t.capacity }))
   else
-    match t.mode with
-    | Inline service -> (
-      match quota_admit t request with
-      | Error error -> on_complete (refusal t request error)
-      | Ok () ->
-        Metrics.incr t.m_total;
-        let started = now () in
-        let response =
-          match on_record with
-          | None -> of_service_reply (Service.reply_one service request)
-          | Some on_record ->
-            let frames = ref 0 in
-            of_service_reply
-              (Service.reply_stream service
-                 ~on_record:(fun record ->
-                   if !frames = 0 then
-                     Metrics.observe t.m_ttfr_s (now () -. started);
-                   on_record !frames record;
-                   incr frames)
-                 request)
-        in
-        Metrics.observe t.m_turnaround_s (now () -. started);
-        count_outcome t response.outcome;
-        on_complete response)
-    | Forked forked -> (
-      (* The ladder runs in order: the global inflight cap, the
-         per-site quota, the memo, spill-aware placement, then the
-         deadline-feasibility check against the chosen worker's
-         backlog. Only a request that clears all five becomes a
-         pending. *)
-      if Hashtbl.length forked.pending >= t.capacity then
-        on_complete
-          (refusal t request
-             (Gateway_overloaded
-                {
-                  inflight = Hashtbl.length forked.pending;
-                  capacity = t.capacity;
-                }))
-      else
-        match quota_admit t request with
+    match quota_admit t request with
+    | Error error -> on_complete (refusal t request error)
+    | Ok () -> (
+      let started = now () in
+      let memo = memo_key t ~stream:(on_record <> None) request in
+      match Option.bind memo (fun (memo, key) -> Shard.find memo key) with
+      | Some body -> on_complete (memo_answer t request ~started body)
+      | None -> (
+        let slot_index, spilled = choose_slot t request.Service.site in
+        match shed_check t slot_index with
         | Error error -> on_complete (refusal t request error)
         | Ok () -> (
-          let started = now () in
-          let memo = memo_key t forked ~stream:(on_record <> None) request in
-          match Option.bind memo (fun (memo, key) -> Shard.find memo key) with
-          | Some body -> on_complete (memo_answer t request ~started body)
-          | None -> (
-            let slot_index, spilled =
-              choose_slot t forked request.Service.site
-            in
-            match shed_check t forked slot_index with
-            | Error error -> on_complete (refusal t request error)
-            | Ok () -> (
-              if spilled then Metrics.incr t.m_spilled;
-              Metrics.incr t.m_total;
-              let seq = forked.next_seq in
-              forked.next_seq <- seq + 1;
-              let pending =
-                {
-                  p_seq = seq;
-                  p_request = request;
-                  p_slot = slot_index;
-                  p_deadline =
-                    Option.map (fun d -> now () +. d) t.cfg.deadline_s;
-                  p_submitted = now ();
-                  p_on_complete = on_complete;
-                  p_on_record = on_record;
-                  p_key = Option.map snd memo;
-                  p_frames = 0;
-                  p_dispatched = None;
-                  p_redispatched = false;
-                  p_outcome = None;
-                }
-              in
-              Hashtbl.replace forked.pending seq pending;
-              match forked.slots.(pending.p_slot).s_state with
-              | Live conn -> dispatch forked conn pending
-              | Restarting _ -> () (* dispatched when the fork lands *)
-              | Failed ->
-                resolve t forked pending
-                  {
-                    id = request.Service.id;
-                    outcome =
-                      Error (Worker_lost "worker slot permanently failed");
-                    cache_hit = false;
-                    latency_s = 0.;
-                  }))))
+          if spilled then Metrics.incr t.m_spilled;
+          Metrics.incr t.m_total;
+          let seq = t.next_seq in
+          t.next_seq <- seq + 1;
+          let pending =
+            {
+              p_seq = seq;
+              p_request = request;
+              p_slot = slot_index;
+              p_deadline = Option.map (fun d -> now () +. d) t.cfg.deadline_s;
+              p_submitted = now ();
+              p_on_complete = on_complete;
+              p_on_record = on_record;
+              p_key = Option.map snd memo;
+              p_frames = 0;
+              p_dispatched = None;
+              p_redispatched = false;
+              p_outcome = None;
+            }
+          in
+          Hashtbl.replace t.pending seq pending;
+          match t.slots.(pending.p_slot).s_state with
+          | Live conn -> dispatch t conn pending
+          | Restarting _ -> () (* dispatched when the fork lands *)
+          | Failed ->
+            resolve t pending
+              {
+                id = request.Service.id;
+                outcome = Error (Worker_lost "worker slot permanently failed");
+                cache_hit = false;
+                latency_s = 0.;
+              })))
 
 let submit t ~on_complete request = submit_common t ~on_complete request
 
@@ -1020,90 +948,60 @@ let submit_stream t ~on_record ~on_complete request =
   Metrics.incr t.m_stream_total;
   submit_common t ~on_record ~on_complete request
 
-let inflight t =
-  match t.mode with
-  | Inline _ -> 0
-  | Forked forked -> Hashtbl.length forked.pending
-
-let set_fork_hook t hook =
-  match t.mode with
-  | Inline _ -> ()
-  | Forked forked -> forked.fork_hook <- hook
-
-let pump ?(max_wait_s = 0.) t =
-  match t.mode with
-  | Inline _ -> ()
-  | Forked forked -> step ~max_wait_s t forked
+let inflight t = Hashtbl.length t.pending
+let set_fork_hook t hook = t.fork_hook <- hook
+let pump ?(max_wait_s = 0.) t = step ~max_wait_s t
 
 let watch_fds t =
-  match t.mode with
-  | Inline _ -> ([], [])
-  | Forked forked ->
-    let conns =
-      Array.to_list forked.slots
-      |> List.filter_map (fun slot ->
-             match slot.s_state with Live c -> Some c.c_chan | _ -> None)
-    in
-    ( List.map Conn.fd conns,
-      conns |> List.filter Conn.pending_output |> List.map Conn.fd )
+  let conns =
+    Array.to_list t.slots
+    |> List.filter_map (fun slot ->
+           match slot.s_state with Live c -> Some c.c_chan | _ -> None)
+  in
+  ( List.map Conn.fd conns,
+    conns |> List.filter Conn.pending_output |> List.map Conn.fd )
 
 let next_timer_in t =
-  match t.mode with
-  | Inline _ -> infinity
-  | Forked forked ->
-    if Queue.is_empty forked.resolved then next_event_in t forked else 0.
+  if Queue.is_empty t.resolved then next_event_in t else 0.
 
 let run_batch t requests =
-  if requests = [] then []
-  else begin
-    let total = List.length requests in
-    let responses = Array.make total None in
-    List.iteri
-      (fun pos (request : Service.request) ->
-        submit t
-          ~on_complete:(fun response -> responses.(pos) <- Some response)
-          request)
-      requests;
-    (match t.mode with
-    | Inline _ -> ()
-    | Forked forked ->
-      let unresolved () = Array.exists Option.is_none responses in
-      while unresolved () do
-        step t forked
-      done);
-    Array.to_list responses
-    |> List.map (function Some r -> r | None -> assert false)
-  end
+  let responses = Array.make (List.length requests) None in
+  List.iteri
+    (fun pos (request : Service.request) ->
+      submit t
+        ~on_complete:(fun response -> responses.(pos) <- Some response)
+        request)
+    requests;
+  while Array.exists Option.is_none responses do
+    step t
+  done;
+  Array.to_list responses
+  |> List.map (function Some r -> r | None -> assert false)
 
 let health t =
-  match t.mode with
-  | Inline _ -> [ (Unix.getpid (), not t.shut) ]
-  | Forked forked ->
-    let targets =
-      Array.to_list forked.slots
-      |> List.filter_map (fun slot ->
-             match slot.s_state with
-             | Live conn ->
-               let token = forked.next_token in
-               forked.next_token <- token + 1;
-               enqueue_frame conn (Wire.encode (Wire.Ping token)) None;
-               Some (conn.c_pid, token)
-             | _ -> None)
-    in
-    let deadline = now () +. 0.5 in
-    let all_ponged () =
-      List.for_all (fun (_, token) -> Hashtbl.mem forked.pongs token) targets
-    in
-    while (not (all_ponged ())) && now () < deadline do
-      step t forked
-    done;
-    let report =
-      List.map
-        (fun (pid, token) -> (pid, Hashtbl.mem forked.pongs token))
-        targets
-    in
-    List.iter (fun (_, token) -> Hashtbl.remove forked.pongs token) targets;
-    report
+  let targets =
+    Array.to_list t.slots
+    |> List.filter_map (fun slot ->
+           match slot.s_state with
+           | Live conn ->
+             let token = t.next_token in
+             t.next_token <- token + 1;
+             enqueue_frame conn (Wire.encode (Wire.Ping token)) None;
+             Some (conn.c_pid, token)
+           | _ -> None)
+  in
+  let deadline = now () +. 0.5 in
+  let all_ponged () =
+    List.for_all (fun (_, token) -> Hashtbl.mem t.pongs token) targets
+  in
+  while (not (all_ponged ())) && now () < deadline do
+    step t
+  done;
+  let report =
+    List.map (fun (pid, token) -> (pid, Hashtbl.mem t.pongs token)) targets
+  in
+  List.iter (fun (_, token) -> Hashtbl.remove t.pongs token) targets;
+  report
 
 let install_sigterm t =
   Sys.set_signal Sys.sigterm
@@ -1112,58 +1010,55 @@ let install_sigterm t =
 let shutdown t =
   if not t.shut then begin
     t.shut <- true;
-    match t.mode with
-    | Inline service -> Service.shutdown service
-    | Forked forked ->
-      (* Ask nicely, flush what we can, then make sure. *)
-      Array.iter
+    (* Ask nicely, flush what we can, then make sure. *)
+    Array.iter
+      (fun slot ->
+        match slot.s_state with
+        | Live conn ->
+          enqueue_frame conn (Wire.encode Wire.Shutdown) None;
+          write_step t slot conn
+        | _ -> ())
+      t.slots;
+    let deadline = now () +. 2.0 in
+    let all_exited () =
+      Array.for_all
         (fun slot ->
           match slot.s_state with
-          | Live conn ->
-            enqueue_frame conn (Wire.encode Wire.Shutdown) None;
-            write_step t forked slot conn
-          | _ -> ())
-        forked.slots;
-      let deadline = now () +. 2.0 in
-      let all_exited () =
-        Array.for_all
-          (fun slot ->
-            match slot.s_state with
-            | Live conn -> (
-              match Unix.waitpid [ Unix.WNOHANG ] conn.c_pid with
-              | 0, _ -> false
-              | _ -> true
-              | exception Unix.Unix_error _ -> true)
-            | _ -> true)
-          forked.slots
-      in
-      while (not (all_exited ())) && now () < deadline do
-        (* Keep servicing sockets so a worker blocked writing a final
-           response can finish and see our Shutdown. *)
-        step t forked;
-        Wire.sleep_s 0.01
-      done;
-      Array.iter
-        (fun slot ->
-          match slot.s_state with
-          | Live conn ->
-            (match Unix.waitpid [ Unix.WNOHANG ] conn.c_pid with
-            | 0, _ ->
-              (try Unix.kill conn.c_pid Sys.sigkill
-               with Unix.Unix_error _ -> ());
-              (try ignore (Unix.waitpid [] conn.c_pid)
-               with Unix.Unix_error _ -> ())
-            | _ -> ()
-            | exception Unix.Unix_error _ -> ());
-            close_quietly (Conn.fd conn.c_chan);
-            slot.s_state <- Failed
-          | _ -> ())
-        forked.slots;
-      reap forked;
-      List.iter
-        (fun pid ->
-          try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-          with Unix.Unix_error _ -> ())
-        forked.zombies;
-      forked.zombies <- []
+          | Live conn -> (
+            match Unix.waitpid [ Unix.WNOHANG ] conn.c_pid with
+            | 0, _ -> false
+            | _ -> true
+            | exception Unix.Unix_error _ -> true)
+          | _ -> true)
+        t.slots
+    in
+    while (not (all_exited ())) && now () < deadline do
+      (* Keep servicing sockets so a worker blocked writing a final
+         response can finish and see our Shutdown. *)
+      step t;
+      Wire.sleep_s 0.01
+    done;
+    Array.iter
+      (fun slot ->
+        match slot.s_state with
+        | Live conn ->
+          (match Unix.waitpid [ Unix.WNOHANG ] conn.c_pid with
+          | 0, _ ->
+            (try Unix.kill conn.c_pid Sys.sigkill
+             with Unix.Unix_error _ -> ());
+            (try ignore (Unix.waitpid [] conn.c_pid)
+             with Unix.Unix_error _ -> ())
+          | _ -> ()
+          | exception Unix.Unix_error _ -> ());
+          close_quietly (Conn.fd conn.c_chan);
+          slot.s_state <- Failed
+        | _ -> ())
+      t.slots;
+    reap t;
+    List.iter
+      (fun pid ->
+        try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
+        with Unix.Unix_error _ -> ())
+      t.zombies;
+    t.zombies <- []
   end

@@ -1,10 +1,11 @@
 (** The multi-process serving front-end: a master that shards a request
     stream across [procs] forked worker processes and merges responses
     back in strict submission order — byte-identical to a sequential
-    run, the same guarantee {!Tabseg_serve.Pool.run_ordered} gives
-    in-process, but past the domain-parallelism ceiling: workers are
-    processes, so they share no minor-GC rendezvous and one poisoned
-    page set can only take down its own worker.
+    run. This is where serving gets its parallelism and its isolation:
+    workers are processes, so they share no heap (no minor-GC
+    rendezvous) and one poisoned page set can only take down its own
+    worker. The master itself never segments, so an embedding select
+    loop (the daemon's) stays responsive while a worker grinds.
 
     Topology: each worker hosts a full {!Tabseg_serve.Service} over the
     shared store directory — whichever worker grabs the advisory lock
@@ -16,8 +17,7 @@
 
     Partitioning is by {e site-digest affinity}: every request of one
     site lands on the same worker, so a site's warm template cache has
-    one home. With [procs <= 1] nothing is forked — requests run inline
-    on an embedded service, the reference sequential mode.
+    one home. [procs <= 1] forks one worker.
 
     Memo: when the workers cache ([service.cache]), the master keeps the
     body of each [Ok] answer to a plain request under the workers' own
@@ -38,10 +38,9 @@
     finishes, subsequent batches are refused with [Draining]. *)
 
 type config = {
-  procs : int;  (** worker processes; <= 1 runs inline with no fork *)
+  procs : int;  (** worker processes; <= 1 forks one *)
   service : Tabseg_serve.Service.config;
-      (** the per-worker service configuration (jobs inside a worker
-          default to 1 — parallelism comes from processes here) *)
+      (** the configuration of the service each worker hosts *)
   deadline_s : float option;
       (** per-request deadline, measured from submission at the master;
           an expired request resolves [Deadline_exceeded] and a late
@@ -123,7 +122,7 @@ val result : response -> (Tabseg.Api.result, error) result
 type t
 
 val create : ?config:config -> unit -> t
-(** Fork the workers (none when [procs <= 1]). The master ignores
+(** Fork the workers (one when [procs <= 1]). The master ignores
     SIGPIPE from here on — a dying worker's socket must surface as an
     error code, not a signal. *)
 
@@ -140,17 +139,16 @@ val metrics : t -> Tabseg_serve.Metrics.t
 val worker_pids : t -> (int * int) list
 (** [(slot, pid)] per live worker, in slot order: a slot whose worker is
     restarting or has failed is left out, and the others keep their
-    slot index, the [i] of the [gateway.worker<i>.*] gauges. Empty
-    inline. A test or bench crashes a worker by killing one of these
-    pids while it holds a request: supervision sees the socket close,
-    exactly as for a real crash. *)
+    slot index, the [i] of the [gateway.worker<i>.*] gauges. A test or
+    bench crashes a worker by killing one of these pids while it holds
+    a request: supervision sees the socket close, exactly as for a real
+    crash. *)
 
 val worker_roles : t -> (int * int * string) list
 (** [(slot, pid, store role)] per live worker, in slot order as
     {!worker_pids} — the role each worker reported in its Hello
     ("writer", "reader", "none"; "unknown" until the Hello has been
-    read). Exactly one worker over a shared store reports "writer".
-    Empty inline. *)
+    read). Exactly one worker over a shared store reports "writer". *)
 
 (** {2 Streaming submission — the seam external frontends drive}
 
@@ -171,9 +169,8 @@ val submit :
 (** Admit one request through the degradation ladder (inflight cap,
     per-site quota, the memo, spill placement, shed check) and dispatch
     it. [on_complete] fires exactly once: synchronously from inside
-    [submit] for refusals and memo hits (and for everything in inline
-    mode), from a later {!pump}/{!run_batch} turn for dispatched work.
-    Callbacks must not block; they may call [submit] again. *)
+    [submit] for refusals and memo hits, from a later
+    {!pump}/{!run_batch} turn for dispatched work. Callbacks must not block; they may call [submit] again. *)
 
 val submit_stream :
   t ->
@@ -200,29 +197,27 @@ val pump : ?max_wait_s:float -> t -> unit
 (** One turn of the master event loop: fire timers, move socket bytes,
     deliver completions. Blocks at most [max_wait_s] (default [0.] —
     nonblocking, for callers owning their own select) and never past
-    the gateway's own next scheduled event. No-op inline. *)
+    the gateway's own next scheduled event. *)
 
 val watch_fds : t -> Unix.file_descr list * Unix.file_descr list
 (** The worker sockets an embedding select loop should watch:
     [(readable set, writable set — only conns with queued output)].
-    Recompute after every {!pump}: workers die and restart. Empty
-    inline. *)
+    Recompute after every {!pump}: workers die and restart. *)
 
 val next_timer_in : t -> float
 (** Seconds until the gateway next needs a {!pump} regardless of fd
     activity (deadline expiry, restart backoff, heartbeat; [0.] when
-    completions are already waiting). [infinity] inline. *)
+    completions are already waiting). *)
 
 val inflight : t -> int
-(** Requests admitted and not yet delivered to their [on_complete].
-    Always [0] inline (inline submission is synchronous). *)
+(** Requests admitted and not yet delivered to their [on_complete]. *)
 
 val set_fork_hook : t -> (unit -> Unix.file_descr list) -> unit
 (** Descriptors every {e subsequently} forked worker (restarts) must
     close right after the fork — an embedding server's listening
     socket and client connections, which a worker child would
     otherwise hold open past the owner's close. The hook runs in the
-    child. No-op inline. *)
+    child. *)
 
 val run_batch :
   t -> Tabseg_serve.Service.request list -> response list

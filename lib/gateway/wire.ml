@@ -22,8 +22,12 @@ module Crc32 = Tabseg_store.Crc32
    v6: Response and Stream_done carry a Service.reply, the result as
    the body the worker's memo entry keeps (its Marshal payload), in
    place of the decoded result; the master forwards the body unread,
-   and the daemon's Reply carries the same bytes. *)
-let protocol_version = 6
+   and the daemon's Reply carries the same bytes.
+   v7: Hello carries no jobs or queue_capacity: a worker runs its
+   requests one at a time, on no pool. Service.error, in a Response
+   here and in the daemon's Service_error, has no Overloaded and no
+   Deadline_exceeded. *)
+let protocol_version = 7
 let magic = "TSGW"
 let header_size = 16 (* magic + version + crc + length *)
 
@@ -34,7 +38,7 @@ let header_size = 16 (* magic + version + crc + length *)
 let max_payload = 1 lsl 27
 
 type message =
-  | Hello of { pid : int; role : string; jobs : int; queue_capacity : int }
+  | Hello of { pid : int; role : string }
   | Request of { seq : int; request : Service.request }
   | Response of { seq : int; reply : Service.reply }
   | Stream_request of { seq : int; request : Service.request }

@@ -31,10 +31,9 @@ val max_payload : int
     other framing failure. *)
 
 type message =
-  | Hello of { pid : int; role : string; jobs : int; queue_capacity : int }
+  | Hello of { pid : int; role : string }
       (** first message a worker sends; [role] is the store role it got
-          ("writer", "reader" or "none"), [jobs] and [queue_capacity]
-          the static capacity of its in-process pool *)
+          ("writer", "reader" or "none") *)
   | Request of { seq : int; request : Tabseg_serve.Service.request }
       (** A request carries its input and nothing else: no message
           chooses how long a worker sleeps or names a path for it.

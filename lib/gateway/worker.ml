@@ -1,5 +1,4 @@
 module Service = Tabseg_serve.Service
-module Pool = Tabseg_serve.Pool
 module Store = Tabseg_store.Store
 
 (* How long the worker sleeps in [select] before running a maintenance
@@ -17,15 +16,8 @@ let store_role service =
 
 let run ~socket ~config =
   let service = Service.create ~config () in
-  let pool_capacity () = (Service.pool_stats service).Pool.queue_capacity in
   Wire.write_message socket
-    (Wire.Hello
-       {
-         pid = Unix.getpid ();
-         role = store_role service;
-         jobs = config.Service.jobs;
-         queue_capacity = pool_capacity ();
-       });
+    (Wire.Hello { pid = Unix.getpid (); role = store_role service });
   let stop = ref false in
   let handle = function
     | Wire.Request { seq; request } ->

@@ -2,23 +2,17 @@ module Store = Tabseg_store.Store
 module Codec = Tabseg_store.Codec
 
 type config = {
-  jobs : int;
-  queue_capacity : int option;
   cache : Cache.config option;
   store_dir : string option;
   method_ : Tabseg.Api.method_;
-  deadline_s : float option;
   simulated_fetch_s : float;
 }
 
 let default_config =
   {
-    jobs = 1;
-    queue_capacity = None;
     cache = Some Cache.default_config;
     store_dir = None;
     method_ = Tabseg.Api.Probabilistic;
-    deadline_s = None;
     simulated_fetch_s = 0.;
   }
 
@@ -29,16 +23,10 @@ type request = {
 }
 
 type error =
-  | Overloaded of { depth : int; capacity : int }
-  | Deadline_exceeded
   | Worker_crashed of string
   | Invalid_input of Tabseg.Api.input_error
 
 let error_message = function
-  | Overloaded { depth; capacity } ->
-    Printf.sprintf "overloaded: the request queue is full (%d queued of %d)"
-      depth capacity
-  | Deadline_exceeded -> "deadline exceeded before a worker was free"
   | Worker_crashed e -> "worker crashed: " ^ e
   | Invalid_input e -> Tabseg.Api.input_error_message e
 
@@ -54,7 +42,6 @@ type reply = Codec.body answer
 
 type t = {
   cfg : config;
-  pool : Pool.t;
   cache : Cache.t option;
   store : Store.t option;
   registry : Metrics.t;
@@ -62,15 +49,11 @@ type t = {
   requests_total : Metrics.counter;
   requests_ok : Metrics.counter;
   requests_failed : Metrics.counter;
-  requests_shed : Metrics.counter;
   cache_hits : Metrics.counter;
   batches : Metrics.counter;
   request_seconds : Metrics.histogram;
   stream_requests : Metrics.counter;
   ttfr_seconds : Metrics.histogram;
-  queue_depth : Metrics.gauge;
-  queue_capacity : Metrics.gauge;
-  queue_inflight : Metrics.gauge;
   mutable shut_down : bool;
 }
 
@@ -92,8 +75,6 @@ let create ?(config = default_config) () =
   in
   {
     cfg = config;
-    pool =
-      Pool.create ?queue_capacity:config.queue_capacity ~jobs:config.jobs ();
     cache =
       Option.map
         (fun c -> Cache.create ~config:c ?store ~metrics:registry ())
@@ -104,16 +85,12 @@ let create ?(config = default_config) () =
     requests_total = Metrics.counter registry "requests.total";
     requests_ok = Metrics.counter registry "requests.ok";
     requests_failed = Metrics.counter registry "requests.failed";
-    requests_shed = Metrics.counter registry "requests.shed";
     cache_hits = Metrics.counter registry "cache.result_hits";
     batches = Metrics.counter registry "batches.total";
     request_seconds = Metrics.histogram registry "request.seconds";
     stream_requests = Metrics.counter registry "stream.requests";
     ttfr_seconds =
       Metrics.histogram registry "stream.time_to_first_record_seconds";
-    queue_depth = Metrics.gauge registry "pool.queue_depth";
-    queue_capacity = Metrics.gauge registry "pool.queue_capacity";
-    queue_inflight = Metrics.gauge registry "pool.inflight";
     shut_down = false;
   }
 
@@ -121,7 +98,6 @@ let config t = t.cfg
 let metrics t = t.registry
 let cache_stats t = Option.map Cache.stats t.cache
 let store_stats t = Option.map Store.stats t.store
-let pool_stats t = Pool.stats t.pool
 
 (* What answers a request: a memo entry, or a result segmented by a
    service without a cache. *)
@@ -140,8 +116,7 @@ let body_of = function
 let in_form form (served : source answer) =
   { served with outcome = Result.map form served.outcome }
 
-(* One request, up to the source that answers it: on a worker domain
-   for [run_batch], on the caller's for a stream. *)
+(* One request, up to the source that answers it. *)
 let process t (request : request) =
   let started = Unix.gettimeofday () in
   Metrics.incr t.requests_total;
@@ -171,7 +146,7 @@ let process t (request : request) =
   | Some memo -> finish ~cache_hit:true (Ok memo)
   | None ->
     (* A live deployment would fetch the pages here; the benchmark knob
-       models that wait so the pool's overlap is measurable. *)
+       models that wait. *)
     if t.cfg.simulated_fetch_s > 0. then Unix.sleepf t.cfg.simulated_fetch_s;
     let template_cache = Option.map Cache.template_cache t.cache in
     let outcome =
@@ -205,32 +180,29 @@ let group_by_site (requests : request list) =
     requests;
   List.rev_map (fun cell -> List.rev !cell) !groups
 
+(* The site groups run one after another, in first-appearance order. A
+   group whose pipeline raises resolves as [Worker_crashed], every
+   request of it. *)
 let run_batch_in form t requests =
   if requests = [] then []
   else begin
     Metrics.incr t.batches;
-    let groups = group_by_site requests in
-    let tasks =
-      List.map
-        (fun group () ->
-          List.map (fun (i, r) -> (i, in_form form (process t r))) group)
-        groups
-    in
-    let outcomes =
-      Pool.run_ordered t.pool ?deadline_s:t.cfg.deadline_s tasks
-    in
-    let pstats = Pool.stats t.pool in
-    Metrics.set t.queue_depth (float_of_int pstats.Pool.queue_depth);
-    Metrics.set t.queue_capacity (float_of_int pstats.Pool.queue_capacity);
-    Metrics.set t.queue_inflight (float_of_int pstats.Pool.inflight);
     let responses = Array.make (List.length requests) None in
-    List.iter2
-      (fun group outcome ->
-        let failed error =
+    List.iter
+      (fun group ->
+        match
+          List.map (fun (i, r) -> (i, in_form form (process t r))) group
+        with
+        | indexed ->
+          List.iter
+            (fun (index, response) -> responses.(index) <- Some response)
+            indexed
+        | exception e ->
+          let error = Worker_crashed (Printexc.to_string e) in
           List.iter
             (fun (index, (request : request)) ->
               Metrics.incr t.requests_total;
-              Metrics.incr t.requests_shed;
+              Metrics.incr t.requests_failed;
               responses.(index) <-
                 Some
                   {
@@ -239,18 +211,8 @@ let run_batch_in form t requests =
                     cache_hit = false;
                     latency_s = 0.;
                   })
-            group
-        in
-        match outcome with
-        | Pool.Done indexed ->
-          List.iter
-            (fun (index, response) -> responses.(index) <- Some response)
-            indexed
-        | Pool.Rejected { depth; capacity } ->
-          failed (Overloaded { depth; capacity })
-        | Pool.Expired -> failed Deadline_exceeded
-        | Pool.Crashed message -> failed (Worker_crashed message))
-      groups outcomes;
+            group)
+      (group_by_site requests);
     Array.to_list responses
     |> List.map (function
          | Some response -> response
@@ -293,6 +255,5 @@ let shutdown t =
   if not t.shut_down then begin
     t.shut_down <- true;
     Tabseg.Instrument.unsubscribe t.stage_bridge;
-    Pool.shutdown t.pool;
     Option.iter Store.close t.store
   end

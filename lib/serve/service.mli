@@ -1,19 +1,18 @@
 (** The segmentation service: an in-process façade that turns
-    {!Tabseg.Api.segment_result} into a concurrent, cached, measured
+    {!Tabseg.Api.segment_result} into a cached, measured
     request/response interface.
 
-    A service owns a {!Pool} of worker domains, optionally a {!Cache}
-    (template cache + result memo), and a {!Metrics} registry wired to
-    the core stage-instrumentation bus. Batches of requests are grouped
-    by site so all pages of one site run on one worker — same-site
-    requests share the induced template with perfect locality — and
-    responses always come back in request order, byte-identical to a
-    sequential run. Under queue overload whole batch groups are shed
-    with a typed [Overloaded] error instead of blocking the caller. *)
+    A service owns a {!Metrics} registry wired to the core
+    stage-instrumentation bus and, optionally, a {!Cache} (template
+    cache + result memo). It runs every request on the caller. Batches
+    of requests are grouped by site so the pages of one site run back
+    to back — same-site requests share the induced template — and
+    responses come back in request order, byte-identical to a
+    sequential run.
+    Parallelism and isolation come from {!Tabseg_gateway.Gateway},
+    whose forked worker processes each host one service. *)
 
 type config = {
-  jobs : int;  (** worker domains; <= 1 runs inline (sequential) *)
-  queue_capacity : int option;  (** [None]: the pool default *)
   cache : Cache.config option;  (** [None] disables caching *)
   store_dir : string option;
       (** directory of a persistent {!Tabseg_store.Store} backing the
@@ -22,7 +21,6 @@ type config = {
           meaningful with [cache]; [None] (default) keeps the caches
           purely in-memory. *)
   method_ : Tabseg.Api.method_;
-  deadline_s : float option;  (** per-batch-group deadline *)
   simulated_fetch_s : float;
       (** benchmark knob: sleep this long per cache-missing request to
           model the network fetch a live deployment would perform
@@ -35,8 +33,8 @@ type config = {
 }
 
 val default_config : config
-(** 1 job, default queue, 64 MB cache, no persistent store,
-    probabilistic method, no deadline, no simulated fetch. *)
+(** 64 MB cache, no persistent store, probabilistic method, no
+    simulated fetch. *)
 
 type request = {
   id : string;  (** echoed back; not interpreted *)
@@ -45,12 +43,9 @@ type request = {
 }
 
 type error =
-  | Overloaded of { depth : int; capacity : int }
-      (** the pool queue was full; the batch group was shed. [depth] is
-          the queue length observed at rejection, [capacity] the bound —
-          what a front-end needs to size its shedding decision *)
-  | Deadline_exceeded
   | Worker_crashed of string
+      (** the pipeline raised on a request of the batch's site group;
+          every request of that group carries the exception, printed *)
   | Invalid_input of Tabseg.Api.input_error
 
 val error_message : error -> string
@@ -59,8 +54,7 @@ type 'a answer = {
   id : string;
   outcome : ('a, error) result;
   cache_hit : bool;  (** served from the result memo *)
-  latency_s : float;
-      (** time inside the worker for this request (queue wait excluded) *)
+  latency_s : float;  (** time spent processing this request *)
 }
 
 type response = Tabseg.Api.result answer
@@ -83,11 +77,10 @@ val cache_stats : t -> Cache.stats option
 val store_stats : t -> Tabseg_store.Store.stats option
 (** [None] when no persistent store is configured. *)
 
-val pool_stats : t -> Pool.stats
-
 val run_batch : t -> request list -> response list
-(** Process a batch: group by [site], run groups on the pool, await in
-    deterministic order. The response list is in request order. *)
+(** Process a batch: group by [site] and run the groups one after
+    another, in the order each site first appears. The response list is
+    in request order. *)
 
 val segment_one : t -> request -> response
 (** [run_batch] of a singleton. *)
@@ -100,7 +93,7 @@ val reply_one : t -> request -> reply
 val segment_stream :
   t -> on_record:(Tabseg.Segmentation.record -> unit) -> request -> response
 (** The streaming seam: {!segment_one}'s per-request path (memo, template
-    cache, store) on the {e caller's} domain, then the result's records
+    cache, store), then the result's records
     through [on_record], in order, before the identical response is
     returned. A request is one unit, whose records exist only once its
     whole input is segmented. Counts [stream.requests] and observes
@@ -117,6 +110,6 @@ val maintenance : t -> unit
     store. A multi-process front-end calls this on its idle tick. *)
 
 val shutdown : t -> unit
-(** Drain the pool, join its domains, detach the metrics bridge from
-    the global instrumentation bus and close the persistent store (if
-    any), releasing its writer lock. Idempotent. *)
+(** Detach the metrics bridge from the global instrumentation bus and
+    close the persistent store (if any), releasing its writer lock.
+    Idempotent. *)

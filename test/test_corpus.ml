@@ -181,7 +181,7 @@ let test_site_inputs_shape () =
 
 let test_evaluate_small_corpus () =
   let specs = Family.sample { small_params with Family.sites = 5 } in
-  let config = { Harness.default_config with Harness.jobs = 1; worst_k = 3 } in
+  let config = { Harness.default_config with Harness.worst_k = 3 } in
   let report = Harness.evaluate ~config specs in
   let again = Harness.evaluate ~config specs in
   check_int "every site evaluated" 5 report.Harness.sites;

@@ -135,8 +135,6 @@ let every_gateway_error =
     Gw.Shed { predicted_s = 2.; deadline_s = 1. };
     Gw.Deadline_exceeded;
     Gw.Draining;
-    Gw.Service_error (Service.Overloaded { depth = 3; capacity = 2 });
-    Gw.Service_error Service.Deadline_exceeded;
     Gw.Service_error (Service.Worker_crashed "boom");
     Gw.Service_error (Service.Invalid_input Tabseg.Api.Blank_list_page);
   ]
@@ -485,9 +483,10 @@ let test_stream_roundtrip () =
     (Lazy.force reference) (render_reply reply)
 
 (* What a client decodes equals (=) the in-process result: a miss, a
-   memo hit and a stream's terminal reply from a forked fleet; from an
-   inline ([procs = 1]) daemon over a store, a miss and a hit, and after
-   a restart on the same store directory, a hit promoted from it. *)
+   memo hit and a stream's terminal reply from a two-worker fleet; from
+   a one-worker ([procs = 1]) daemon over a store, a miss and a hit, and
+   after a restart on the same store directory, a hit promoted from
+   it. *)
 let check_served label ~cache_hit (reply : Protocol.reply) =
   check_bool (label ^ ": cache hit") cache_hit reply.Protocol.cache_hit;
   match reply.Protocol.outcome with
@@ -526,14 +525,44 @@ let test_replies_equal_in_process () =
     Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
   in
   serve_stored (fun client ->
-      check_served "inline miss" ~cache_hit:false
-        (submit_exn client (request "inline-miss"));
-      check_served "inline hit" ~cache_hit:true
-        (submit_exn client (request "inline-hit")));
+      check_served "stored miss" ~cache_hit:false
+        (submit_exn client (request "stored-miss"));
+      check_served "stored hit" ~cache_hit:true
+        (submit_exn client (request "stored-hit")));
   serve_stored (fun client ->
       check_served "hit promoted from the store after a restart"
         ~cache_hit:true
         (submit_exn client (request "promoted")))
+
+(* A [procs = 1] daemon segments on its one worker, never on its select
+   loop: while client A's cold request sleeps on the worker, client B
+   connects and gets [Stats] at once, and A's reply still equals the
+   in-process result. *)
+let test_loop_answers_while_worker_busy () =
+  with_daemon (daemon_config ~procs:1 ~service:(slow_service 1.0) ())
+  @@ fun handle ->
+  let a = connect_exn ~client:"cold" handle.Daemon.address in
+  Fun.protect ~finally:(fun () -> Client.close a) @@ fun () ->
+  (match Client.send_submit a (request "cold") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Client.error_message e));
+  (* Let the daemon take A's request before B arrives. *)
+  GWire.sleep_s 0.1;
+  let asked = Unix.gettimeofday () in
+  let b = connect_exn ~client:"observer" handle.Daemon.address in
+  let stats =
+    Fun.protect ~finally:(fun () -> Client.close b) @@ fun () ->
+    match Client.stats b with
+    | Ok stats -> stats
+    | Error e -> Alcotest.fail (Client.error_message e)
+  in
+  check_bool "B connected and got Stats in under 0.5 s" true
+    (Unix.gettimeofday () -. asked < 0.5);
+  check_int "A's request was still on the worker" 1
+    (int_of_float (List.assoc "gateway.worker0.inflight" stats));
+  match Client.read_reply a with
+  | Ok (_, reply) -> check_served "A's reply" ~cache_hit:false reply
+  | Error e -> Alcotest.fail (Client.error_message e)
 
 (* ------------------------- failure modes ---------------------------- *)
 
@@ -815,6 +844,10 @@ let test_loadgen_quota_retry_recovers () =
    runs, and gives both back when it returns: a process that embeds a
    daemon keeps its own handlers after the daemon is gone. *)
 let test_serve_restores_signals () =
+  (* [create] forks the gateway's worker, and the gateway ignores
+     SIGPIPE from then on: the handlers serve must give back are the
+     ones in place when it starts. *)
+  let daemon = Daemon.create ~config:(daemon_config ()) () in
   let on_term _ = () and on_pipe _ = () in
   let term_before = Sys.signal Sys.sigterm (Sys.Signal_handle on_term) in
   let pipe_before = Sys.signal Sys.sigpipe (Sys.Signal_handle on_pipe) in
@@ -828,7 +861,6 @@ let test_serve_restores_signals () =
         Sys.set_signal Sys.sigterm term_before;
         Sys.set_signal Sys.sigpipe pipe_before)
       (fun () ->
-        let daemon = Daemon.create ~config:(daemon_config ()) () in
         Daemon.request_drain daemon;
         Daemon.serve daemon;
         ( Sys.signal Sys.sigterm Sys.Signal_default,
@@ -849,8 +881,7 @@ let test_stats_names_every_metric () =
     String.starts_with ~prefix:"daemon." name
     || String.starts_with ~prefix:"gateway." name
   in
-  (* In process, with an inline gateway: the snapshot against the
-     registry it is read from. *)
+  (* In process: the snapshot against the registry it is read from. *)
   let registered =
     let daemon = Daemon.create ~config:(daemon_config ()) () in
     let registered =
@@ -923,6 +954,8 @@ let () =
             `Slow test_stream_roundtrip;
           Alcotest.test_case "served results equal the in-process result"
             `Slow test_replies_equal_in_process;
+          Alcotest.test_case "procs 1: Stats answered while a request runs"
+            `Slow test_loop_answers_while_worker_busy;
         ] );
       ( "failure",
         [

@@ -102,10 +102,7 @@ let random_frame rand =
     }
   in
   match Random.State.int rand 7 with
-  | 0 ->
-    Wire.encode
-      (Wire.Hello
-         { pid = int (); role = text (); jobs = 1; queue_capacity = int () })
+  | 0 -> Wire.encode (Wire.Hello { pid = int (); role = text () })
   | 1 -> Wire.encode (Wire.Request { seq = int (); request = request () })
   | 2 -> Wire.encode (Wire.Ping (int ()))
   | 3 -> Wire.encode (Wire.Pong (int ()))

@@ -138,7 +138,7 @@ let roundtrip message = Wire.decode (Wire.encode message)
 let test_wire_roundtrip () =
   let messages =
     [
-      Wire.Hello { pid = 4242; role = "writer"; jobs = 2; queue_capacity = 64 };
+      Wire.Hello { pid = 4242; role = "writer" };
       Wire.Ping 7;
       Wire.Pong 7;
       Wire.Shutdown;
@@ -188,7 +188,7 @@ let test_wire_roundtrip () =
 let test_wire_damage_typed () =
   let frame =
     Wire.encode
-      (Wire.Hello { pid = 1; role = "reader"; jobs = 1; queue_capacity = 32 })
+      (Wire.Hello { pid = 1; role = "reader" })
   in
   let flip frame pos =
     let bytes = Bytes.of_string frame in
@@ -271,8 +271,8 @@ let test_wire_frame_bytes () =
   in
   let frame = Wire.frame_payload "123456789" in
   check_int "header + payload" 25 (String.length frame);
-  check_string "header: magic, version 6, CRC-32, length"
-    "5453475700000006cbf4392600000009" (hex (String.sub frame 0 16));
+  check_string "header: magic, version 7, CRC-32, length"
+    "5453475700000007cbf4392600000009" (hex (String.sub frame 0 16));
   check_string "payload follows" "123456789" (String.sub frame 16 9)
 
 (* ------------------------- connection reader ------------------------ *)
@@ -412,8 +412,8 @@ let test_procs2_matches_sequential () =
     (List.length (List.filter (fun (_, _, role) -> role = "reader") roles))
 
 (* A response carries the body its worker encoded: decoded, it equals
-   the in-process result, miss and hits alike, forked and inline. Inline,
-   two hits on one memo entry carry physically the same body. *)
+   the in-process result, miss and hits alike, at procs 2 and 1. Two
+   hits on one worker's memo entry carry the same body. *)
 let test_bodies_decode_and_are_shared () =
   let request = List.hd (requests_of [ "ButlerCounty" ]) in
   let expected =
@@ -444,9 +444,9 @@ let test_bodies_decode_and_are_shared () =
   match serve 1 with
   | [ _; { Gateway.outcome = Ok first; _ }; { Gateway.outcome = Ok second; _ } ]
     ->
-    check_bool "inline: two hits on one entry carry the same body" true
-      (first == second)
-  | _ -> Alcotest.fail "inline: expected three Ok replies"
+    check_bool "two hits on one entry carry the same body" true
+      (first = second)
+  | _ -> Alcotest.fail "expected three Ok replies"
 
 (* --------------------- in-order merge under skew -------------------- *)
 
@@ -857,18 +857,6 @@ let test_stream_matches_batch_forked () =
   check_bool "stream submissions counted" true
     (counter_value gateway "gateway.stream.requests" >= List.length requests)
 
-let test_stream_matches_batch_inline () =
-  (* procs=1 takes the inline Service.segment_stream path — same
-     contract, no fork. *)
-  let requests = requests_of [ "BNBooks" ] in
-  let expected = sequential_reference requests in
-  with_gateway { Gateway.default_config with Gateway.procs = 1 }
-  @@ fun gateway ->
-  List.iteri
-    (fun i request ->
-      check_stream_against (List.nth expected i) (stream_one gateway request))
-    requests
-
 (* ------------------------------- memo ------------------------------- *)
 
 (* [submit] one request; its response if it completed inside the call. *)
@@ -1191,8 +1179,6 @@ let () =
         [
           Alcotest.test_case "forked stream: records = batch, in order"
             `Slow test_stream_matches_batch_forked;
-          Alcotest.test_case "inline stream: records = batch, in order"
-            `Quick test_stream_matches_batch_inline;
         ] );
       ( "memo",
         [

@@ -1,8 +1,7 @@
-(* The serving layer: parallel-vs-sequential determinism, cache
+(* The serving layer: batch-vs-sequential determinism, cache
    correctness (a hit returns exactly what the cold miss computed, the
-   request key's values pinned), LRU eviction under a tiny budget,
-   typed overload rejection and deadline expiry instead of blocking,
-   and monotone metrics. *)
+   request key's values pinned), LRU eviction under a tiny budget, and
+   monotone metrics. *)
 
 open Tabseg_serve
 open Tabseg_sitegen
@@ -51,59 +50,50 @@ let sequential_reference ~method_ requests =
       | Error error -> "ERROR: " ^ Tabseg.Api.input_error_message error)
     requests
 
-(* ------------------- determinism under parallelism ------------------ *)
+(* --------------------------- determinism ---------------------------- *)
 
-let test_parallel_matches_sequential () =
+(* Two rounds of [requests] through one service, a cold one and a warm
+   one: each must render as [expected], in request order. *)
+let check_rounds ~label ~config ~expected requests =
+  let service = Service.create ~config () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  List.iter
+    (fun round ->
+      let responses = Service.run_batch service requests in
+      check_int
+        (Printf.sprintf "%s round %d: response count" label round)
+        (List.length requests) (List.length responses);
+      List.iteri
+        (fun i (response : Service.response) ->
+          check_string
+            (Printf.sprintf "%s round %d request %d" label round i)
+            (List.nth expected i)
+            (render_response response);
+          check_string "response order preserved"
+            (List.nth requests i).Service.id response.Service.id)
+        responses)
+    [ 1; 2 ]
+
+let test_batch_matches_sequential () =
   List.iter
     (fun reseed ->
       let requests =
         requests_of ~reseed [ "ButlerCounty"; "AlleghenyCounty"; "Canada411" ]
       in
-      let expected =
-        sequential_reference ~method_:Tabseg.Api.Probabilistic requests
-      in
-      let service =
-        Service.create
-          ~config:{ Service.default_config with Service.jobs = 3 }
-          ()
-      in
-      Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
-      (* Two rounds: the warm round must agree byte-for-byte too. *)
-      List.iter
-        (fun round ->
-          let responses = Service.run_batch service requests in
-          check_int
-            (Printf.sprintf "reseed %d round %d: response count" reseed round)
-            (List.length requests) (List.length responses);
-          List.iteri
-            (fun i (response : Service.response) ->
-              check_string
-                (Printf.sprintf "reseed %d round %d request %d" reseed round i)
-                (List.nth expected i)
-                (render_response response);
-              check_string "response order preserved"
-                (List.nth requests i).Service.id response.Service.id)
-            responses)
-        [ 1; 2 ])
+      check_rounds
+        ~label:(Printf.sprintf "reseed %d" reseed)
+        ~config:Service.default_config
+        ~expected:
+          (sequential_reference ~method_:Tabseg.Api.Probabilistic requests)
+        requests)
     [ 0; 17 ]
 
-let test_parallel_matches_sequential_csp () =
+let test_batch_matches_sequential_csp () =
   let requests = requests_of [ "ButlerCounty"; "OhioCorrections" ] in
-  let expected = sequential_reference ~method_:Tabseg.Api.Csp requests in
-  let service =
-    Service.create
-      ~config:
-        { Service.default_config with
-          Service.jobs = 2; method_ = Tabseg.Api.Csp }
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
-  let responses = Service.run_batch service requests in
-  List.iteri
-    (fun i response ->
-      check_string (Printf.sprintf "csp request %d" i) (List.nth expected i)
-        (render_response response))
-    responses
+  check_rounds ~label:"csp"
+    ~config:{ Service.default_config with Service.method_ = Tabseg.Api.Csp }
+    ~expected:(sequential_reference ~method_:Tabseg.Api.Csp requests)
+    requests
 
 (* --------------------------- cache behavior ------------------------- *)
 
@@ -267,109 +257,6 @@ let test_reply_one_reuses_body () =
     check_bool "the body decodes to segment_one's result" true
       (Tabseg_store.Codec.decode_body (List.hd bodies) = result)
   | Error error -> Alcotest.fail (Service.error_message error)
-
-(* --------------------- overload and deadlines ----------------------- *)
-
-(* A gate the test controls: worker tasks block on it until [open_gate],
-   so queue occupancy is deterministic. *)
-let make_gate () =
-  let mutex = Mutex.create () in
-  let opened = Condition.create () in
-  let is_open = ref false in
-  let started = Atomic.make 0 in
-  let wait () =
-    Atomic.incr started;
-    Mutex.lock mutex;
-    while not !is_open do
-      Condition.wait opened mutex
-    done;
-    Mutex.unlock mutex
-  in
-  let open_gate () =
-    Mutex.lock mutex;
-    is_open := true;
-    Condition.broadcast opened;
-    Mutex.unlock mutex
-  in
-  let running () = Atomic.get started in
-  (wait, open_gate, running)
-
-let spin_until ?(timeout_s = 5.) condition =
-  let started = Unix.gettimeofday () in
-  while (not (condition ())) && Unix.gettimeofday () -. started < timeout_s do
-    Domain.cpu_relax ()
-  done;
-  condition ()
-
-let test_pool_overload_rejects () =
-  let pool = Pool.create ~queue_capacity:1 ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let wait, open_gate, running = make_gate () in
-  (* The gate must open no matter which assertion fails, or [shutdown]
-     would join a worker still blocked on it. *)
-  Fun.protect ~finally:open_gate @@ fun () ->
-  (* Saturate the workers one at a time: submitting both back-to-back
-     can bounce the second off the 1-slot queue before a worker wakes. *)
-  let blocker1 = Pool.submit pool (fun () -> wait (); "blocked") in
-  check_bool "first worker busy" true (spin_until (fun () -> running () = 1));
-  let blocker2 = Pool.submit pool (fun () -> wait (); "blocked") in
-  check_bool "both workers busy" true (spin_until (fun () -> running () = 2));
-  let queued = Pool.submit pool (fun () -> "queued") in
-  let shed = Pool.submit pool (fun () -> "shed") in
-  check_bool "queue full => immediate typed rejection" true
-    (match Pool.await shed with
-    | Pool.Rejected { depth; capacity } -> depth = 1 && capacity = 1
-    | _ -> false);
-  open_gate ();
-  check_bool "queued task still ran" true (Pool.await queued = Pool.Done "queued");
-  check_bool "blockers completed" true
-    (Pool.await blocker1 = Pool.Done "blocked"
-    && Pool.await blocker2 = Pool.Done "blocked");
-  let stats = Pool.stats pool in
-  check_int "one rejection counted" 1 stats.Pool.rejected;
-  check_int "three completions counted" 3 stats.Pool.completed
-
-let test_service_overload_typed_error () =
-  (* queue_capacity 0: nothing can ever be handed to the workers, so
-     every batch group is shed with the typed error — and the caller is
-     never blocked. *)
-  let service =
-    Service.create
-      ~config:
-        { Service.default_config with
-          Service.jobs = 2; queue_capacity = Some 0 }
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
-  let requests = requests_of [ "ButlerCounty"; "AlleghenyCounty" ] in
-  let responses = Service.run_batch service requests in
-  check_int "every request answered" (List.length requests)
-    (List.length responses);
-  List.iter
-    (fun (response : Service.response) ->
-      check_bool "typed overload error" true
-        (match response.Service.outcome with
-        | Error (Service.Overloaded { capacity = 0; _ }) -> true
-        | _ -> false))
-    responses;
-  check_bool "rejections counted" true
-    ((Service.pool_stats service).Pool.rejected >= 2)
-
-let test_deadline_expiry () =
-  let pool = Pool.create ~queue_capacity:4 ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let wait, open_gate, running = make_gate () in
-  Fun.protect ~finally:open_gate @@ fun () ->
-  let _b1 = Pool.submit pool (fun () -> wait ()) in
-  check_bool "first worker busy" true (spin_until (fun () -> running () = 1));
-  let _b2 = Pool.submit pool (fun () -> wait ()) in
-  check_bool "both workers busy" true (spin_until (fun () -> running () = 2));
-  let doomed = Pool.submit pool ~deadline_s:0.005 (fun () -> "ran") in
-  Unix.sleepf 0.02;
-  open_gate ();
-  check_bool "queued past its deadline => Expired" true
-    (Pool.await doomed = Pool.Expired);
-  check_int "expiry counted" 1 (Pool.stats pool).Pool.expired
 
 (* ----------------------------- metrics ------------------------------ *)
 
@@ -565,10 +452,10 @@ let () =
     [
       ( "determinism",
         [
-          Alcotest.test_case "parallel = sequential (prob, 2 seeds)" `Slow
-            test_parallel_matches_sequential;
-          Alcotest.test_case "parallel = sequential (csp)" `Slow
-            test_parallel_matches_sequential_csp;
+          Alcotest.test_case "batch = sequential (prob, 2 seeds)" `Slow
+            test_batch_matches_sequential;
+          Alcotest.test_case "batch = sequential (csp)" `Slow
+            test_batch_matches_sequential_csp;
         ] );
       ( "cache",
         [
@@ -586,14 +473,6 @@ let () =
             test_entry_body_counted_and_kept;
           Alcotest.test_case "reply_one reuses the entry's body" `Quick
             test_reply_one_reuses_body;
-        ] );
-      ( "overload",
-        [
-          Alcotest.test_case "pool sheds when queue full" `Quick
-            test_pool_overload_rejects;
-          Alcotest.test_case "service returns typed Overloaded" `Quick
-            test_service_overload_typed_error;
-          Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
         ] );
       ( "metrics",
         [

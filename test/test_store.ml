@@ -506,13 +506,9 @@ let render_responses responses =
       | Error error -> "ERROR: " ^ Serve.Service.error_message error)
     responses
 
-let run_service ?jobs:(jobs = 1) ~store_dir requests =
+let run_service ~store_dir requests =
   let config =
-    {
-      Serve.Service.default_config with
-      Serve.Service.jobs;
-      store_dir = Some store_dir;
-    }
+    { Serve.Service.default_config with Serve.Service.store_dir = Some store_dir }
   in
   let service = Serve.Service.create ~config () in
   Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
