@@ -19,9 +19,12 @@
 # through the service: zero service errors, median F1 above the floor,
 # per-family micro-F above wide floors derived from BENCH_corpus.json,
 # and an identical accuracy digest both times — the corpus sampler's
-# determinism contract), and the stream smoke (every built-in site and
+# determinism contract), the stream smoke (every built-in site and
 # a 200-site corpus sample must stream byte-identically to the batch
-# segmentation under both methods).
+# segmentation under both methods), and the CLI smoke (for every site
+# `tabseg sites` lists, `tabseg auto -s SITE` must print the same bytes
+# in its direct mode, with --procs 2, and with --store DIR cold and
+# then warm).
 # `lint` runs tabseg_lint over lib/ bin/ bench/ and fails on any
 # unsuppressed finding. Two passes share one rule catalog and one
 # [@tabseg.allow] suppression syntax: the syntactic rules (TS001-TS007:
@@ -58,6 +61,8 @@ smoke:
 	dune exec bench/main.exe -- daemon-smoke
 	dune exec bench/main.exe -- corpus-smoke
 	dune exec bench/main.exe -- stream-smoke
+	dune build bin/tabseg_cli.exe
+	dune exec bench/main.exe -- cli-smoke
 	dune exec bench/main.exe -- lint-smoke
 
 bench:

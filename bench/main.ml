@@ -2446,6 +2446,88 @@ let stream_smoke () =
     !builtin (List.length specs)
 
 (* ------------------------------------------------------------------ *)
+(* CLI smoke: one answer from every serving branch of `tabseg auto`     *)
+(* ------------------------------------------------------------------ *)
+
+(* Run the CLI with [args]: how it exited and what it printed. *)
+let run_cli exe args =
+  let out = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let printed = In_channel.input_all out in
+  (Unix.close_process_in out, printed)
+
+(* For every site `tabseg sites` lists, `tabseg auto -s SITE` must print
+   the same bytes in its direct mode, through the gateway's forked
+   workers (--procs 2), and through an in-process Service over a
+   persistent store, cold and then warm. *)
+let cli_smoke () =
+  section "CLI smoke: tabseg auto, direct = --procs 2 = --store cold/warm";
+  (* the CLI dune builds beside this executable: _build/default/bin/
+     next to _build/default/bench/ *)
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "tabseg_cli.exe")
+  in
+  if not (Sys.file_exists exe) then begin
+    Printf.printf
+      "SMOKE FAILURE: %s not built (dune build bin/tabseg_cli.exe)\n" exe;
+    exit 1
+  end;
+  let ok = ref true in
+  let fail fmt =
+    Printf.ksprintf
+      (fun message ->
+        ok := false;
+        Printf.printf "SMOKE FAILURE: %s\n" message)
+      fmt
+  in
+  let sites =
+    match run_cli exe [ "sites" ] with
+    | Unix.WEXITED 0, printed ->
+      List.filter_map
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | name :: _ when name <> "" -> Some name
+          | _ -> None)
+        (String.split_on_char '\n' printed)
+    | _ ->
+      fail "tabseg sites did not exit 0";
+      []
+  in
+  if sites = [] then fail "tabseg sites listed no site";
+  List.iter
+    (fun site ->
+      let dir = temp_store_dir "tabseg_cli" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let auto label extra =
+        match run_cli exe ([ "auto"; "-s"; site ] @ extra) with
+        | Unix.WEXITED 0, printed -> Some printed
+        | _ ->
+          fail "%s, %s: tabseg auto did not exit 0" site label;
+          None
+      in
+      match auto "direct" [] with
+      | None -> ()
+      | Some direct ->
+        List.iter
+          (fun (label, extra) ->
+            match auto label extra with
+            | Some printed when printed <> direct ->
+              fail "%s, %s: other bytes than the direct run" site label
+            | Some _ | None -> ())
+          [
+            ("--procs 2", [ "--procs"; "2" ]);
+            ("--store cold", [ "--store"; dir ]);
+            ("--store warm", [ "--store"; dir ]);
+          ])
+    sites;
+  if not !ok then exit 1;
+  Printf.printf
+    "smoke ok: %d sites, tabseg auto byte-identical direct, with --procs 2 \
+     and with --store cold and warm\n"
+    (List.length sites)
+
+(* ------------------------------------------------------------------ *)
 (* Lint runtime guard                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -2573,6 +2655,7 @@ let () =
       | "corpus-smoke" -> corpus_smoke ()
       | "stream" -> stream_bench ~json ()
       | "stream-smoke" -> stream_smoke ()
+      | "cli-smoke" -> cli_smoke ()
       | "lint-smoke" -> lint_smoke ~json ()
       | "wrapper" -> wrapper_bootstrap ()
       | "baseline" -> baseline ()

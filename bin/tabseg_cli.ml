@@ -262,16 +262,6 @@ let cache_stats_dump service =
            (s.Tabseg_store.Store.file_bytes / 1024)));
     Buffer.contents buffer
 
-(* One streamed record, printed the moment its detail evidence
-   completed — the visible half of `auto --stream`. *)
-let record_line url (record : Tabseg.Segmentation.record) =
-  Printf.sprintf "record %s r%d: %s" url
-    (record.Tabseg.Segmentation.number + 1)
-    (String.concat " | "
-       (List.map
-          (fun (e : Tabseg_extract.Extract.t) -> e.Tabseg_extract.Extract.text)
-          record.Tabseg.Segmentation.extracts))
-
 let auto_cmd =
   let site_arg =
     let doc = "Site to simulate and navigate (see $(b,tabseg sites))." in
@@ -352,15 +342,6 @@ let auto_cmd =
       & opt (some string) None
       & info [ "metrics-json" ] ~doc ~docv:"PATH")
   in
-  let stream_arg =
-    let doc =
-      "Segment through the streaming engine: print each record the \
-       moment its detail evidence completes, before the site's full \
-       result is ready. Final segmentations are byte-identical to the \
-       batch path."
-    in
-    Arg.(value & flag & info [ "stream" ] ~doc)
-  in
   let store_arg =
     let doc =
       "Back the caches with a persistent store in this directory \
@@ -417,8 +398,8 @@ let auto_cmd =
       & info [ "deadline" ] ~doc ~docv:"SECONDS")
   in
   let run method_ site_name fault_rate fault_seed permanent retries
-      show_report procs cache_mb show_metrics metrics_json stream
-      store_dir spill_threshold site_quota shed deadline =
+      show_report procs cache_mb show_metrics metrics_json store_dir
+      spill_threshold site_quota shed deadline =
     match Tabseg_sitegen.Sites.find site_name with
     | exception Not_found ->
       Printf.eprintf "unknown site %S; try `tabseg sites`\n" site_name;
@@ -446,8 +427,7 @@ let auto_cmd =
         }
       in
       let use_service =
-        procs > 1 || show_metrics || metrics_json <> None
-        || stream || store_dir <> None
+        procs > 1 || show_metrics || metrics_json <> None || store_dir <> None
       in
       let report, metrics_dump, metrics_json_payload =
         if not use_service then
@@ -484,29 +464,6 @@ let auto_cmd =
           Gateway.install_sigterm gateway;
           Fun.protect ~finally:(fun () -> Gateway.shutdown gateway)
           @@ fun () ->
-          let run_requests requests =
-            if not stream then Gateway.run_batch gateway requests
-            else
-              (* One stream at a time: records print in order, and the
-                 final responses land in request order like run_batch. *)
-              List.map
-                (fun (request : Service.request) ->
-                  let result = ref None in
-                  Gateway.submit_stream gateway
-                    ~on_record:(fun _index record ->
-                      print_endline (record_line request.Service.id record))
-                    ~on_complete:(fun response -> result := Some response)
-                    request;
-                  let rec wait () =
-                    match !result with
-                    | Some response -> response
-                    | None ->
-                      Gateway.pump ~max_wait_s:0.05 gateway;
-                      wait ()
-                  in
-                  wait ())
-                requests
-          in
           let segment_batch batch =
             let requests =
               List.map
@@ -523,7 +480,7 @@ let auto_cmd =
                 | Error error ->
                   Error
                     (Tabseg.Api.Pipeline_failure (Gateway.error_message error)))
-              (run_requests requests)
+              (Gateway.run_batch gateway requests)
           in
           let report =
             Tabseg_navigator.Auto.run_resilient ~retry ~method_
@@ -557,17 +514,6 @@ let auto_cmd =
           let service = Service.create ~config () in
           Fun.protect ~finally:(fun () -> Service.shutdown service)
           @@ fun () ->
-          let run_requests requests =
-            if not stream then Service.run_batch service requests
-            else
-              List.map
-                (fun (request : Service.request) ->
-                  Service.segment_stream service
-                    ~on_record:(fun record ->
-                      print_endline (record_line request.Service.id record))
-                    request)
-                requests
-          in
           let segment_batch batch =
             let requests =
               List.map
@@ -582,7 +528,7 @@ let auto_cmd =
                 | Error error ->
                   Error
                     (Tabseg.Api.Pipeline_failure (Service.error_message error)))
-              (run_requests requests)
+              (Service.run_batch service requests)
           in
           let report =
             Tabseg_navigator.Auto.run_resilient ~retry ~method_
@@ -650,8 +596,8 @@ let auto_cmd =
     Term.(
       const run $ method_arg $ site_arg $ faults_arg $ fault_seed_arg
       $ permanent_arg $ retries_arg $ report_arg $ procs_arg
-      $ cache_mb_arg $ metrics_arg $ metrics_json_arg $ stream_arg
-      $ store_arg $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
+      $ cache_mb_arg $ metrics_arg $ metrics_json_arg $ store_arg
+      $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
 
 (* ------------------------------- serve ----------------------------- *)
 
@@ -1073,18 +1019,8 @@ let loadgen_cmd =
     let doc = "Corpus sampler seed (with --corpus)." in
     Arg.(value & opt int 1 & info [ "corpus-seed" ] ~doc ~docv:"SEED")
   in
-  let stream_arg =
-    let doc =
-      "Submit streaming requests and report time-to-first-record \
-       percentiles alongside full-reply latency. TTFR is measured from \
-       each request's scheduled arrival, so it is coordinated-omission \
-       free like the full latencies."
-    in
-    Arg.(value & flag & info [ "stream" ] ~doc)
-  in
   let run method_ address connections rate pipeline duration site_names zipf
-      seed auth_token retry max_retries verify corpus corpus_seed
-      stream =
+      seed auth_token retry max_retries verify corpus corpus_seed =
     let sites =
       if corpus > 0 then begin
         if site_names <> [] then begin
@@ -1155,7 +1091,6 @@ let loadgen_cmd =
         retry_quota = retry;
         max_retries;
         expected;
-        stream;
       }
     in
     match Loadgen.run config with
@@ -1183,25 +1118,18 @@ let loadgen_cmd =
         "latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n"
         stats.Loadgen.mean_ms stats.Loadgen.p50_ms stats.Loadgen.p95_ms
         stats.Loadgen.p99_ms stats.Loadgen.max_ms;
-      if stream then
-        Printf.printf
-          "records %d  ttfr ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f\n"
-          stats.Loadgen.records stats.Loadgen.ttfr_mean_ms
-          stats.Loadgen.ttfr_p50_ms stats.Loadgen.ttfr_p95_ms
-          stats.Loadgen.ttfr_p99_ms;
       if stats.Loadgen.mismatches > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Drive a running daemon with sustained concurrent load \
              (open- or closed-loop, Zipf site skew, optional \
-             quota-retry, streaming TTFR and byte-identity \
-             verification)")
+             quota-retry and byte-identity verification)")
     Term.(
       const run $ method_arg $ connect_arg $ conns_arg $ rate_arg
       $ pipeline_arg $ duration_arg $ sites_arg $ zipf_arg $ seed_arg
       $ auth_arg $ retry_arg $ max_retries_arg $ verify_arg
-      $ corpus_arg $ corpus_seed_arg $ stream_arg)
+      $ corpus_arg $ corpus_seed_arg)
 
 let () =
   let doc = "automatic segmentation of records in Web tables" in

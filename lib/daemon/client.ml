@@ -10,7 +10,7 @@ type t = {
   fd : Unix.file_descr;
   conn : unit Conn.t;  (* the inbound frame reader; writes stay direct *)
   inbox : string Queue.t;  (* payloads read ahead of the one asked for *)
-  mutable broken : error option;  (* how the stream ended, once it has *)
+  mutable broken : error option;  (* how the connection ended, once it has *)
   mutable next_seq : int;
   mutable srv_window : int;
   mutable srv_pid : int;
@@ -48,8 +48,8 @@ let write_frame t frame =
   go 0
 
 (* One read through the blocking descriptor can deliver several frames
-   (pipelined replies, stream records): queue them and hand them out one
-   per call, then report how the stream ended, if it has. *)
+   (pipelined replies): queue them and hand them out one per call, then
+   report how the connection ended, if it has. *)
 let rec read_message t =
   match Queue.take_opt t.inbox with
   | Some payload -> (
@@ -169,35 +169,6 @@ let submit t request =
     | Ok (got, reply) ->
       if got = seq then Ok reply
       else Error (Protocol_failure "reply out of order"))
-
-let submit_stream t ~on_record request =
-  if t.closed then Error Connection_closed
-  else begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    match
-      write_frame t (Protocol.encode (Protocol.Submit_stream { seq; request }))
-    with
-    | Error e -> Error e
-    | Ok () ->
-      (* Record frames arrive strictly before the terminal Reply and in
-         emission order; the callback runs from inside this blocking
-         read loop, so by the time [Ok reply] returns every record has
-         been delivered. *)
-      let rec loop () =
-        match read_message t with
-        | Error e -> Error e
-        | Ok (Protocol.Reply_record { seq = got; index; record })
-          when got = seq ->
-          on_record index record;
-          loop ()
-        | Ok (Protocol.Reply { seq = got; reply }) when got = seq -> Ok reply
-        | Ok (Protocol.Reply_record _ | Protocol.Reply _) ->
-          Error (Protocol_failure "reply out of order")
-        | Ok _ -> Error (Protocol_failure "expected a stream frame")
-      in
-      loop ()
-  end
 
 let submit_all t ?window:win requests =
   let win = max 1 (Option.value win ~default:t.srv_window) in

@@ -47,20 +47,6 @@ val submit :
   t -> Tabseg_serve.Service.request -> (Protocol.reply, error) result
 (** One request, blocking until its reply. *)
 
-val submit_stream :
-  t ->
-  on_record:(int -> Tabseg.Segmentation.record -> unit) ->
-  Tabseg_serve.Service.request ->
-  (Protocol.reply, error) result
-(** One streaming request: [on_record] fires — [(frame index, record)],
-    in emission order — for each [Reply_record] the server sends before
-    the terminal reply, typically while later pages of the site are
-    still being segmented server-side. When this returns [Ok reply],
-    every record has already been delivered; the reply itself is
-    byte-identical to what {!submit} would have returned. Must not be
-    interleaved with outstanding {!send_submit}s (the stream frames
-    would be misattributed). *)
-
 val submit_all :
   t ->
   ?window:int ->

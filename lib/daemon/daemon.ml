@@ -33,16 +33,6 @@ let default_config =
    fast request overtaking a slow one on another worker), and
    [flush_ready] only ever releases the head — so a pipelined client
    can match replies to requests positionally. *)
-(* Per-stream state on a connection: record frames arriving from the
-   gateway while the stream is pipelined behind an older unanswered
-   submission park in [s_buffer]; they are released — still in emission
-   order — the moment the stream becomes the head of [k_order]. *)
-type stream_state = {
-  s_submitted : float;
-  mutable s_first_sent : bool;  (* TTFR observed once per stream *)
-  s_buffer : (int * Tabseg.Segmentation.record) Queue.t;
-}
-
 type conn = {
   k_chan : unit Conn.t;
   k_opened : float;
@@ -52,7 +42,6 @@ type conn = {
   k_order : int Queue.t;  (* seqs awaiting their in-order reply *)
   k_outstanding : (int, unit) Hashtbl.t;  (* guards against seq reuse *)
   k_ready : (int, Gateway.response) Hashtbl.t;  (* resolved, not yet head *)
-  k_streams : (int, stream_state) Hashtbl.t;  (* streaming submissions *)
   mutable k_inflight : int;  (* submitted to the gateway, unanswered *)
   mutable k_closing : bool;  (* flush the outbox, then close *)
   mutable k_closed : bool;
@@ -79,9 +68,6 @@ type t = {
   m_drain_refused : Metrics.counter;
   m_proto_errors : Metrics.counter;
   m_orphaned : Metrics.counter;
-  m_stream_requests : Metrics.counter;
-  m_stream_records : Metrics.counter;
-  m_ttfr_s : Metrics.histogram;
   g_open : Metrics.gauge;
 }
 
@@ -177,11 +163,6 @@ let create ?(config = default_config) () =
       m_drain_refused = Metrics.counter registry "daemon.draining_refused";
       m_proto_errors = Metrics.counter registry "daemon.protocol_errors";
       m_orphaned = Metrics.counter registry "daemon.orphaned_replies";
-      m_stream_requests = Metrics.counter registry "daemon.stream.requests";
-      m_stream_records = Metrics.counter registry "daemon.stream.records";
-      m_ttfr_s =
-        Metrics.histogram registry
-          "daemon.stream.time_to_first_record_seconds";
       g_open = Metrics.gauge registry "daemon.connections_open";
     }
   in
@@ -213,30 +194,7 @@ let close_conn t conn =
 
 let send_message conn message = Conn.send conn.k_chan (Protocol.encode message)
 
-(* Drain [seq]'s parked record frames to the client — called only when
-   [seq] is the head of the order queue, so the in-order contract
-   holds: a stream's records never overtake an older submission's
-   reply. The daemon-tier TTFR clock stops at the first frame actually
-   released to the socket, not at gateway arrival — head-of-line wait
-   behind a slow pipelined request is part of what the client sees. *)
-let flush_stream_records t conn seq =
-  match Hashtbl.find_opt conn.k_streams seq with
-  | None -> ()
-  | Some stream ->
-    while not (Queue.is_empty stream.s_buffer) do
-      let index, record = Queue.pop stream.s_buffer in
-      send_message conn (Protocol.Reply_record { seq; index; record });
-      Metrics.incr t.m_stream_records;
-      if not stream.s_first_sent then begin
-        stream.s_first_sent <- true;
-        Metrics.observe t.m_ttfr_s (now () -. stream.s_submitted)
-      end
-    done
-
-(* Release every reply that is now at the head of the order queue —
-   each preceded by any record frames its stream still holds — then
-   open the tap for the new head's stream, whose parked records may
-   now flow even though its terminal reply has not resolved yet. *)
+(* Release every reply that is now at the head of the order queue. *)
 let flush_ready t conn =
   let continue = ref true in
   while !continue do
@@ -246,16 +204,11 @@ let flush_ready t conn =
       Hashtbl.remove conn.k_ready seq;
       Hashtbl.remove conn.k_outstanding seq;
       ignore (Queue.pop conn.k_order);
-      flush_stream_records t conn seq;
-      Hashtbl.remove conn.k_streams seq;
       (* the worker's body, forwarded unread *)
       Conn.send conn.k_chan (Protocol.encode_reply ~seq response);
       Metrics.incr t.m_replies
     | _ -> continue := false
-  done;
-  match Queue.peek_opt conn.k_order with
-  | Some seq -> flush_stream_records t conn seq
-  | None -> ()
+  done
 
 (* A reply for [seq] exists (gateway completion or instant refusal):
    park it, release whatever became in-order. A closed connection's
@@ -280,18 +233,15 @@ let protocol_error t conn =
   Metrics.incr t.m_proto_errors;
   close_conn t conn
 
-(* The one admission path of [Submit] and [Submit_stream]: every
-   submission takes its place in the order queue before anything can
-   refuse it, so a refusal is answered in turn like any reply. A stream
-   differs only in its record buffer and the gateway call. *)
-let admit t conn ~stream seq request =
+(* Every submission takes its place in the order queue before anything
+   can refuse it, so a refusal is answered in turn like any reply. *)
+let admit t conn seq request =
   if Hashtbl.mem conn.k_outstanding seq then
     (* seq reuse while outstanding would make "in submission
        order" ambiguous — a protocol violation, not a refusal *)
     protocol_error t conn
   else begin
     Metrics.incr t.m_requests;
-    if stream then Metrics.incr t.m_stream_requests;
     Queue.push seq conn.k_order;
     Hashtbl.replace conn.k_outstanding seq ();
     if t.draining then begin
@@ -312,28 +262,7 @@ let admit t conn ~stream seq request =
         conn.k_inflight <- conn.k_inflight - 1;
         complete t conn seq response
       in
-      if not stream then Gateway.submit t.gateway ~on_complete request
-      else begin
-        let state =
-          {
-            s_submitted = now ();
-            s_first_sent = false;
-            s_buffer = Queue.create ();
-          }
-        in
-        Hashtbl.replace conn.k_streams seq state;
-        Gateway.submit_stream t.gateway
-          ~on_record:(fun index record ->
-            (* Park, then release if this stream is already the
-               connection's oldest unanswered submission. A closed
-               connection's frames die with its stream table. *)
-            if not conn.k_closed then begin
-              Queue.push (index, record) state.s_buffer;
-              if Queue.peek_opt conn.k_order = Some seq then
-                flush_stream_records t conn seq
-            end)
-          ~on_complete request
-      end
+      Gateway.submit t.gateway ~on_complete request
     end
   end
 
@@ -383,18 +312,14 @@ let handle_message t conn message =
              })
       end
     | `Handshaking, _ -> protocol_error t conn
-    | `Active, Protocol.Submit { seq; request } ->
-      admit t conn ~stream:false seq request
-    | `Active, Protocol.Submit_stream { seq; request } ->
-      admit t conn ~stream:true seq request
+    | `Active, Protocol.Submit { seq; request } -> admit t conn seq request
     | `Active, Protocol.Stats_request ->
       (* Out-of-band: answered immediately, never queued behind
          request replies. *)
       send_message conn (Protocol.Stats (stats t))
     | `Active, Protocol.Goodbye -> conn.k_closing <- true
     | `Active, (Protocol.Hello _ | Protocol.Welcome _ | Protocol.Rejected _
-               | Protocol.Reply _ | Protocol.Reply_record _
-               | Protocol.Stats _) ->
+               | Protocol.Reply _ | Protocol.Stats _) ->
       protocol_error t conn
 
 let read_conn t conn =
@@ -446,7 +371,6 @@ let rec accept_step t =
           k_order = Queue.create ();
           k_outstanding = Hashtbl.create 8;
           k_ready = Hashtbl.create 8;
-          k_streams = Hashtbl.create 4;
           k_inflight = 0;
           k_closing = false;
           k_closed = false;

@@ -20,7 +20,6 @@ type config = {
   retry_quota : bool;
   max_retries : int;
   expected : (string * string) list;
-  stream : bool;
 }
 
 let default_config =
@@ -38,7 +37,6 @@ let default_config =
     retry_quota = false;
     max_retries = 3;
     expected = [];
-    stream = false;
   }
 
 type stats = {
@@ -59,11 +57,6 @@ type stats = {
   p95_ms : float;
   p99_ms : float;
   max_ms : float;
-  records : int;
-  ttfr_mean_ms : float;
-  ttfr_p50_ms : float;
-  ttfr_p95_ms : float;
-  ttfr_p99_ms : float;
 }
 
 (* One logical request across its retry attempts: the id (and the
@@ -75,10 +68,6 @@ type job = {
   j_input : Tabseg.Pipeline.input;
   j_first : float;  (* scheduled arrival — latency measures from here *)
   mutable j_attempts : int;  (* quota rejections absorbed so far *)
-  mutable j_ttfr : float option;
-      (* stream mode: first Reply_record at minus j_first. Measured
-         from the scheduled arrival like the full latency, so TTFR
-         percentiles are coordinated-omission-free too. *)
 }
 
 type lconn = {
@@ -202,8 +191,6 @@ let run cfg =
       let mismatches = ref 0 in
       let errors : (string, int) Hashtbl.t = Hashtbl.create 8 in
       let latencies = ref [] in
-      let records = ref 0 in
-      let ttfrs = ref [] in
       let next_id = ref 0 in
       let start = now () in
       let arrivals_end = start +. cfg.duration_s in
@@ -217,7 +204,7 @@ let run cfg =
         incr next_id;
         incr offered;
         { j_id = id; j_site = site; j_input = input; j_first = at;
-          j_attempts = 0; j_ttfr = None }
+          j_attempts = 0 }
       in
       let assign job =
         (* Round-robin across live connections: deterministic and
@@ -257,9 +244,6 @@ let run cfg =
           let at = now () in
           last_completion := at;
           latencies := (at -. job.j_first) :: !latencies;
-          (match job.j_ttfr with
-          | Some ttfr -> ttfrs := ttfr :: !ttfrs
-          | None -> ());
           (match List.assoc_opt job.j_site cfg.expected with
           | None -> ()
           | Some expected ->
@@ -317,15 +301,9 @@ let run cfg =
           | Some job ->
             Hashtbl.remove conn.l_inflight seq;
             complete_job job reply)
-        | Protocol.Reply_record { seq; _ } -> (
-          incr records;
-          match Hashtbl.find_opt conn.l_inflight seq with
-          | Some job when job.j_ttfr = None ->
-            job.j_ttfr <- Some (now () -. job.j_first)
-          | Some _ | None -> ())
         | Protocol.Stats _ -> ()
-        | Protocol.Hello _ | Protocol.Submit _ | Protocol.Submit_stream _
-        | Protocol.Stats_request | Protocol.Goodbye ->
+        | Protocol.Hello _ | Protocol.Submit _ | Protocol.Stats_request
+        | Protocol.Goodbye ->
           fatal := Some "protocol violation from server";
           kill_conn conn
       in
@@ -358,9 +336,7 @@ let run cfg =
               }
             in
             Conn.send conn.l_chan
-              (Protocol.encode
-                 (if cfg.stream then Protocol.Submit_stream { seq; request }
-                  else Protocol.Submit { seq; request }))
+              (Protocol.encode (Protocol.Submit { seq; request }))
           done
         end
       in
@@ -485,13 +461,10 @@ let run cfg =
         let lat = Array.of_list !latencies in
         Array.sort compare lat;
         let ms s = s *. 1000. in
-        let mean_of a =
-          if Array.length a = 0 then 0.
-          else Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
+        let mean =
+          if Array.length lat = 0 then 0.
+          else Array.fold_left ( +. ) 0. lat /. float_of_int (Array.length lat)
         in
-        let mean = mean_of lat in
-        let ttfr = Array.of_list !ttfrs in
-        Array.sort compare ttfr;
         Ok
           {
             offered = !offered;
@@ -515,11 +488,6 @@ let run cfg =
             max_ms =
               (if Array.length lat = 0 then 0.
                else ms lat.(Array.length lat - 1));
-            records = !records;
-            ttfr_mean_ms = ms (mean_of ttfr);
-            ttfr_p50_ms = ms (percentile ttfr 0.50);
-            ttfr_p95_ms = ms (percentile ttfr 0.95);
-            ttfr_p99_ms = ms (percentile ttfr 0.99);
           }
     end
   end

@@ -47,12 +47,6 @@ type config = {
       (** site → expected rendering ({!Tabseg.Segmentation.pp}); every
           Ok reply for a listed site is rendered and compared, counting
           [mismatches] — the byte-identity check at load *)
-  stream : bool;
-      (** submit with [Submit_stream] and measure time-to-first-record:
-          a request's TTFR is its first [Reply_record]'s arrival minus
-          the {e scheduled} arrival, so the TTFR percentiles carry the
-          same coordinated-omission-free guarantee as the full
-          latencies (default off) *)
 }
 
 val default_config : config
@@ -77,13 +71,6 @@ type stats = {
   p95_ms : float;
   p99_ms : float;
   max_ms : float;
-  records : int;  (** stream mode: record frames received *)
-  ttfr_mean_ms : float;
-      (** stream mode: time to first record, measured from scheduled
-          arrival (all 0 when [stream] is off or nothing streamed) *)
-  ttfr_p50_ms : float;
-  ttfr_p95_ms : float;
-  ttfr_p99_ms : float;
 }
 
 val run : config -> (stats, string) result

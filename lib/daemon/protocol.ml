@@ -51,13 +51,7 @@ type message =
   | Welcome of { server_pid : int; procs : int; max_conn_inflight : int }
   | Rejected of { reason : string }
   | Submit of { seq : int; request : Service.request }
-  | Submit_stream of { seq : int; request : Service.request }
   | Reply of { seq : int; reply : reply }
-  | Reply_record of {
-      seq : int;
-      index : int;
-      record : Tabseg.Segmentation.record;
-    }
   | Stats_request
   | Stats of (string * float) list
   | Goodbye

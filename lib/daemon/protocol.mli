@@ -72,22 +72,7 @@ type message =
   | Submit of { seq : int; request : Tabseg_serve.Service.request }
       (** the input and nothing else: no field lets a client choose how
           long the server sleeps or what it touches on disk *)
-  | Submit_stream of { seq : int; request : Tabseg_serve.Service.request }
-      (** like [Submit], but the server answers with zero or more
-          {!Reply_record}s before the terminal {!Reply}. The in-order
-          contract extends naturally: record frames for a stream only
-          flow while that stream is the connection's oldest unanswered
-          submission — records of a stream pipelined behind a slow
-          request are buffered server-side and released, still in
-          emission order, when the stream reaches the head. The
-          terminal [Reply] is byte-identical to what [Submit] would
-          have produced. *)
   | Reply of { seq : int; reply : reply }
-  | Reply_record of {
-      seq : int;
-      index : int;  (** 0-based frame index within the stream *)
-      record : Tabseg.Segmentation.record;
-    }
   | Stats_request
   | Stats of (string * float) list
       (** counter/gauge snapshot: daemon.* and gateway.* names *)

@@ -115,17 +115,9 @@ type pending = {
   p_deadline : float option;  (* absolute *)
   p_submitted : float;
   p_on_complete : response -> unit;
-  (* Streaming requests carry a per-record callback; [None] marks a
-     plain Request. The wire frame type is chosen off this field. *)
-  p_on_record : (int -> Tabseg.Segmentation.record -> unit) option;
-  p_key : string option;  (* its memo key; [None] for a stream, or no memo *)
+  p_key : string option;  (* its memo key; [None] without a memo *)
   mutable p_dispatched : float option;  (* when its frame hit the socket *)
   mutable p_redispatched : bool;
-  (* Record frames already relayed to the caller. A stream that has
-     delivered any frame can never be re-dispatched: a replay on a
-     replacement worker would duplicate records the caller already
-     consumed, so at-most-once delivery demands it fail instead. *)
-  mutable p_frames : int;
   mutable p_outcome : response option;
 }
 
@@ -168,7 +160,7 @@ type t = {
   mutable next_token : int;  (* ping tokens *)
   pongs : (int, unit) Hashtbl.t;
   mutable zombies : int list;  (* dead pids not yet reaped *)
-  (* The bodies of answered plain requests, under the workers' own
+  (* The bodies of answered requests, under the workers' own
      request key: a request whose input an earlier one carried is
      answered here, and no worker sees it. One shard, costed in body
      bytes within the workers' cache budget; [None] when the workers
@@ -190,12 +182,10 @@ type t = {
   m_shed : Metrics.counter;
   m_quota : Metrics.counter;
   m_ping_timeouts : Metrics.counter;
-  m_stream_total : Metrics.counter;
   m_memo_hits : Metrics.counter;
   g_memo_bytes : Metrics.gauge;
   m_dispatch_s : Metrics.histogram;
   m_turnaround_s : Metrics.histogram;
-  m_ttfr_s : Metrics.histogram;
 }
 
 let now () = Unix.gettimeofday ()
@@ -303,14 +293,10 @@ let create ?(config = default_config) () =
       m_shed = Metrics.counter registry "gateway.shed";
       m_quota = Metrics.counter registry "gateway.quota_rejected";
       m_ping_timeouts = Metrics.counter registry "gateway.ping_timeouts";
-      m_stream_total = Metrics.counter registry "gateway.stream.requests";
       m_memo_hits = Metrics.counter registry "gateway.memo_hits";
       g_memo_bytes = Metrics.gauge registry "gateway.memo_bytes";
       m_dispatch_s = Metrics.histogram registry "gateway.dispatch_seconds";
       m_turnaround_s = Metrics.histogram registry "gateway.turnaround_seconds";
-      m_ttfr_s =
-        Metrics.histogram registry
-          "gateway.stream.time_to_first_record_seconds";
     }
   in
   Array.iteri (fun i _ -> fork_worker t i) t.slots;
@@ -547,16 +533,14 @@ let of_service_reply (reply : Service.reply) =
 
 (* ----------------------------- the memo ----------------------------- *)
 
-(* The memo and a plain request's key in it; streams are never keyed,
-   their records need the decoded result. *)
-let memo_key t ~stream (request : Service.request) =
-  match t.memo with
-  | Some memo when not stream ->
-    Some
+(* The memo and a request's key in it. *)
+let memo_key t (request : Service.request) =
+  Option.map
+    (fun memo ->
       ( memo,
         Cache.request_key ~method_:t.cfg.service.Service.method_
-          request.Service.input )
-  | Some _ | None -> None
+          request.Service.input ))
+    t.memo
 
 (* A request answered from the memo, as a refusal is answered: inside
    [submit]. The turnaround histogram is left alone, since it seeds the
@@ -588,16 +572,10 @@ let enqueue_frame conn frame seq =
   | Some seq -> Conn.send ~tag:seq conn.c_chan frame
   | None -> Conn.send conn.c_chan frame
 
-(* Commit [pending]'s frame to the live worker of its slot; the frame
-   type follows from whether the caller streams. *)
+(* Commit [pending]'s frame to the live worker of its slot. *)
 let dispatch t conn pending =
   let seq = pending.p_seq and request = pending.p_request in
-  let frame =
-    match pending.p_on_record with
-    | None -> Wire.Request { seq; request }
-    | Some _ -> Wire.Stream_request { seq; request }
-  in
-  enqueue_frame conn (Wire.encode frame) (Some seq);
+  enqueue_frame conn (Wire.encode (Wire.Request { seq; request })) (Some seq);
   track_dispatch t pending.p_slot seq
 
 (* Push the (re)dispatchable frames of every unresolved pending request
@@ -639,8 +617,7 @@ let worker_dead t slot conn reason =
   Hashtbl.iter
     (fun _ pending ->
       if pending.p_slot = slot.s_index && pending.p_outcome = None then
-        if pending.p_redispatched || pending.p_frames > 0 || not can_restart
-        then
+        if pending.p_redispatched || not can_restart then
           resolve t pending
             {
               id = pending.p_request.Service.id;
@@ -673,7 +650,7 @@ let handle_message t conn = function
       (* A heartbeat answer, not a health probe's: just clear it. *)
       conn.c_ping <- None
     | _ -> Hashtbl.replace t.pongs token ())
-  | Wire.Response { seq; reply } | Wire.Stream_done { seq; reply } -> (
+  | Wire.Response { seq; reply } -> (
     untrack_dispatch t seq;
     match Hashtbl.find_opt t.pending seq with
     | Some pending when pending.p_outcome = None ->
@@ -684,21 +661,7 @@ let handle_message t conn = function
       (* Deadline already resolved it, or it belongs to a previous
          batch: late, counted, dropped. *)
       Metrics.incr t.m_late)
-  | Wire.Record_frame { seq; index; record } -> (
-    (* Relayed to the caller immediately — this is the point of the
-       stream. Safe to call directly: message handling never runs
-       inside an iteration over [pending]. Frames for an already
-       resolved stream (deadline expiry) are late, counted, dropped. *)
-    match Hashtbl.find_opt t.pending seq with
-    | Some pending when pending.p_outcome = None ->
-      pending.p_frames <- pending.p_frames + 1;
-      if pending.p_frames = 1 then
-        Metrics.observe t.m_ttfr_s (now () -. pending.p_submitted);
-      (match pending.p_on_record with
-      | Some on_record -> on_record index record
-      | None -> ())
-    | Some _ | None -> Metrics.incr t.m_late)
-  | Wire.Request _ | Wire.Stream_request _ | Wire.Ping _ | Wire.Shutdown ->
+  | Wire.Request _ | Wire.Ping _ | Wire.Shutdown ->
     (* Workers never send these; ignore rather than kill. *)
     ()
 
@@ -880,7 +843,7 @@ let step ?(max_wait_s = infinity) t =
    back from a later [pump]/[run_batch] event-loop turn. This is the
    seam the network daemon drives: it never wants a batch barrier, just
    a stream of completions it can order per client connection. *)
-let submit_common t ?on_record ~on_complete (request : Service.request) =
+let submit t ~on_complete (request : Service.request) =
   if t.g_draining || t.shut then on_complete (refusal t request Draining)
   (* The ladder runs in order: the global inflight cap, the per-site
      quota, the memo, spill-aware placement, then the deadline-
@@ -896,7 +859,7 @@ let submit_common t ?on_record ~on_complete (request : Service.request) =
     | Error error -> on_complete (refusal t request error)
     | Ok () -> (
       let started = now () in
-      let memo = memo_key t ~stream:(on_record <> None) request in
+      let memo = memo_key t request in
       match Option.bind memo (fun (memo, key) -> Shard.find memo key) with
       | Some body -> on_complete (memo_answer t request ~started body)
       | None -> (
@@ -916,9 +879,7 @@ let submit_common t ?on_record ~on_complete (request : Service.request) =
               p_deadline = Option.map (fun d -> now () +. d) t.cfg.deadline_s;
               p_submitted = now ();
               p_on_complete = on_complete;
-              p_on_record = on_record;
               p_key = Option.map snd memo;
-              p_frames = 0;
               p_dispatched = None;
               p_redispatched = false;
               p_outcome = None;
@@ -936,17 +897,6 @@ let submit_common t ?on_record ~on_complete (request : Service.request) =
                 cache_hit = false;
                 latency_s = 0.;
               })))
-
-let submit t ~on_complete request = submit_common t ~on_complete request
-
-(* Streams run the same admission ladder as [submit]; the only
-   differences live downstream: records reach [on_record] as frames
-   arrive (before [on_complete]), and a worker that dies after its
-   first frame fails the stream instead of re-dispatching — replaying
-   would duplicate records the caller has already consumed. *)
-let submit_stream t ~on_record ~on_complete request =
-  Metrics.incr t.m_stream_total;
-  submit_common t ~on_record ~on_complete request
 
 let inflight t = Hashtbl.length t.pending
 let set_fork_hook t hook = t.fork_hook <- hook

@@ -20,12 +20,11 @@
     one home. [procs <= 1] forks one worker.
 
     Memo: when the workers cache ([service.cache]), the master keeps the
-    body of each [Ok] answer to a plain request under the workers' own
-    request key ({!Tabseg_serve.Cache.request_key}), in an LRU bounded
-    by the same [capacity_mb] in body bytes. A later plain request whose
-    input an earlier one carried is answered inside {!submit}, with
-    that body and [cache_hit = true], and no worker sees it. Streams
-    always go to a worker: their records need the decoded result.
+    body of each [Ok] answer under the workers' own request key
+    ({!Tabseg_serve.Cache.request_key}), in an LRU bounded by the same
+    [capacity_mb] in body bytes. A later request whose input an earlier
+    one carried is answered inside {!submit}, with that body and
+    [cache_hit = true], and no worker sees it.
 
     Supervision: the master detects a dead worker by its socket (EOF /
     EPIPE — a single-threaded worker grinding through a long request
@@ -150,7 +149,7 @@ val worker_roles : t -> (int * int * string) list
     ("writer", "reader", "none"; "unknown" until the Hello has been
     read). Exactly one worker over a shared store reports "writer". *)
 
-(** {2 Streaming submission — the seam external frontends drive}
+(** {2 Submission — the seam external frontends drive}
 
     [run_batch] is a barrier: submit everything, block until everything
     resolved. A network frontend (the daemon) wants neither half of
@@ -171,27 +170,6 @@ val submit :
     it. [on_complete] fires exactly once: synchronously from inside
     [submit] for refusals and memo hits, from a later
     {!pump}/{!run_batch} turn for dispatched work. Callbacks must not block; they may call [submit] again. *)
-
-val submit_stream :
-  t ->
-  on_record:(int -> Tabseg.Segmentation.record -> unit) ->
-  on_complete:(response -> unit) ->
-  Tabseg_serve.Service.request ->
-  unit
-(** Like {!submit}, but the worker streams, memoized input or not:
-    [on_record] fires once per emitted record — [(frame index,
-    record)], in emission order, each strictly before [on_complete] —
-    as {!Wire.Record_frame}s arrive, typically while the site's later
-    pages are still being segmented.
-    The final response is byte-identical to what {!submit} would have
-    delivered. Delivery is at-most-once: a worker that dies {e after}
-    its first frame fails the stream with [Worker_lost] instead of
-    re-dispatching (replaying would duplicate records the caller
-    already consumed); a stream with no frames yet re-dispatches like
-    any request. A deadline expiry mid-stream resolves the request
-    [Deadline_exceeded] and drops late frames (counted as
-    [gateway.late_responses]). Time to first record is observed in the
-    [gateway.stream.time_to_first_record_seconds] histogram. *)
 
 val pump : ?max_wait_s:float -> t -> unit
 (** One turn of the master event loop: fire timers, move socket bytes,

@@ -26,8 +26,11 @@ module Crc32 = Tabseg_store.Crc32
    v7: Hello carries no jobs or queue_capacity: a worker runs its
    requests one at a time, on no pool. Service.error, in a Response
    here and in the daemon's Service_error, has no Overloaded and no
-   Deadline_exceeded. *)
-let protocol_version = 7
+   Deadline_exceeded.
+   v8: the streaming frames are gone (Stream_request, Record_frame,
+   Stream_done, and the daemon's Submit_stream and Reply_record): a
+   served request's records come only in its reply. *)
+let protocol_version = 8
 let magic = "TSGW"
 let header_size = 16 (* magic + version + crc + length *)
 
@@ -41,13 +44,6 @@ type message =
   | Hello of { pid : int; role : string }
   | Request of { seq : int; request : Service.request }
   | Response of { seq : int; reply : Service.reply }
-  | Stream_request of { seq : int; request : Service.request }
-  | Record_frame of {
-      seq : int;
-      index : int;  (** 0-based frame index within the stream *)
-      record : Tabseg.Segmentation.record;
-    }
-  | Stream_done of { seq : int; reply : Service.reply }
   | Ping of int
   | Pong of int
   | Shutdown

@@ -44,20 +44,6 @@ type message =
       (** the answer with its result as the encoded body: a memo hit's
           body is the one its cache entry keeps, and the master forwards
           it without decoding *)
-  | Stream_request of { seq : int; request : Tabseg_serve.Service.request }
-      (** like [Request], but the worker answers with zero or more
-          [Record_frame]s — one per record, as its detail evidence
-          completes — followed by exactly one [Stream_done]. Frames of
-          one stream arrive in emission order; frames of different
-          requests may interleave ([seq] disambiguates). *)
-  | Record_frame of {
-      seq : int;
-      index : int;  (** 0-based frame index within the stream *)
-      record : Tabseg.Segmentation.record;
-    }
-  | Stream_done of { seq : int; reply : Tabseg_serve.Service.reply }
-      (** terminal frame of a stream: the full reply, byte-identical to
-          what [Request] would have returned *)
   | Ping of int
   | Pong of int
       (** echoes the ping's token. A worker reads a Ping only between

@@ -23,23 +23,9 @@ let run ~socket ~config =
     | Wire.Request { seq; request } ->
       let reply = Service.reply_one service request in
       Wire.write_message socket (Wire.Response { seq; reply })
-    | Wire.Stream_request { seq; request } ->
-      (* Frames go out as the engine emits them — the master relays them
-         to its caller before this worker has finished the request. *)
-      let index = ref 0 in
-      let reply =
-        Service.reply_stream service
-          ~on_record:(fun record ->
-            Wire.write_message socket
-              (Wire.Record_frame { seq; index = !index; record });
-            incr index)
-          request
-      in
-      Wire.write_message socket (Wire.Stream_done { seq; reply })
     | Wire.Ping token -> Wire.write_message socket (Wire.Pong token)
     | Wire.Shutdown -> stop := true
-    | Wire.Hello _ | Wire.Response _ | Wire.Record_frame _
-    | Wire.Stream_done _ | Wire.Pong _ ->
+    | Wire.Hello _ | Wire.Response _ | Wire.Pong _ ->
       (* A master never sends these; a peer that does is broken. *)
       Unix._exit 96
   in

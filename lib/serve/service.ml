@@ -52,8 +52,6 @@ type t = {
   cache_hits : Metrics.counter;
   batches : Metrics.counter;
   request_seconds : Metrics.histogram;
-  stream_requests : Metrics.counter;
-  ttfr_seconds : Metrics.histogram;
   mutable shut_down : bool;
 }
 
@@ -88,9 +86,6 @@ let create ?(config = default_config) () =
     cache_hits = Metrics.counter registry "cache.result_hits";
     batches = Metrics.counter registry "batches.total";
     request_seconds = Metrics.histogram registry "request.seconds";
-    stream_requests = Metrics.counter registry "stream.requests";
-    ttfr_seconds =
-      Metrics.histogram registry "stream.time_to_first_record_seconds";
     shut_down = false;
   }
 
@@ -113,22 +108,8 @@ let body_of = function
   | Memo (cache, key, entry) -> Cache.body cache ~key entry
   | Fresh result -> Codec.encode_body result
 
-let in_form form (served : source answer) =
-  { served with outcome = Result.map form served.outcome }
-
-(* One request, up to the source that answers it. *)
-let process t (request : request) =
-  let started = Unix.gettimeofday () in
-  Metrics.incr t.requests_total;
-  let finish ~cache_hit outcome =
-    let latency_s = Unix.gettimeofday () -. started in
-    Metrics.observe t.request_seconds latency_s;
-    (match outcome with
-    | Ok _ -> Metrics.incr t.requests_ok
-    | Error _ -> Metrics.incr t.requests_failed);
-    if cache_hit then Metrics.incr t.cache_hits;
-    { id = request.id; outcome; cache_hit; latency_s }
-  in
+(* What answers a request, and whether the memo did. *)
+let source_of t (request : request) =
   (* the cache and the request's key in it *)
   let memo =
     Option.map
@@ -143,13 +124,13 @@ let process t (request : request) =
           (Cache.find_result cache ~key))
   in
   match memoized with
-  | Some memo -> finish ~cache_hit:true (Ok memo)
+  | Some memo -> (true, Ok memo)
   | None ->
     (* A live deployment would fetch the pages here; the benchmark knob
        models that wait. *)
     if t.cfg.simulated_fetch_s > 0. then Unix.sleepf t.cfg.simulated_fetch_s;
     let template_cache = Option.map Cache.template_cache t.cache in
-    let outcome =
+    ( false,
       match
         Tabseg.Api.segment_result ?template_cache ~method_:t.cfg.method_
           request.input
@@ -160,9 +141,28 @@ let process t (request : request) =
           | Some (cache, key) ->
             Memo (cache, key, Cache.store_result cache ~key result)
           | None -> Fresh result)
-      | Error input_error -> Error (Invalid_input input_error)
-    in
-    finish ~cache_hit:false outcome
+      | Error input_error -> Error (Invalid_input input_error) )
+
+(* One request, answered in [form]. Whatever raises on its way (the
+   pipeline, a stage subscriber, the cache, the body's encoding) answers
+   this request alone, as [Worker_crashed]; each request counts once in
+   [requests.total] and once in [requests.ok] or [requests.failed]. *)
+let process form t (request : request) =
+  let started = Unix.gettimeofday () in
+  Metrics.incr t.requests_total;
+  let cache_hit, outcome =
+    try
+      let cache_hit, outcome = source_of t request in
+      (cache_hit, Result.map form outcome)
+    with e -> (false, Error (Worker_crashed (Printexc.to_string e)))
+  in
+  let latency_s = Unix.gettimeofday () -. started in
+  Metrics.observe t.request_seconds latency_s;
+  (match outcome with
+  | Ok _ -> Metrics.incr t.requests_ok
+  | Error _ -> Metrics.incr t.requests_failed);
+  if cache_hit then Metrics.incr t.cache_hits;
+  { id = request.id; outcome; cache_hit; latency_s }
 
 (* Group a batch by site, preserving first-appearance order of groups
    and request order within each group. *)
@@ -180,38 +180,15 @@ let group_by_site (requests : request list) =
     requests;
   List.rev_map (fun cell -> List.rev !cell) !groups
 
-(* The site groups run one after another, in first-appearance order. A
-   group whose pipeline raises resolves as [Worker_crashed], every
-   request of it. *)
+(* The site groups run one after another, in first-appearance order. *)
 let run_batch_in form t requests =
   if requests = [] then []
   else begin
     Metrics.incr t.batches;
     let responses = Array.make (List.length requests) None in
     List.iter
-      (fun group ->
-        match
-          List.map (fun (i, r) -> (i, in_form form (process t r))) group
-        with
-        | indexed ->
-          List.iter
-            (fun (index, response) -> responses.(index) <- Some response)
-            indexed
-        | exception e ->
-          let error = Worker_crashed (Printexc.to_string e) in
-          List.iter
-            (fun (index, (request : request)) ->
-              Metrics.incr t.requests_total;
-              Metrics.incr t.requests_failed;
-              responses.(index) <-
-                Some
-                  {
-                    id = request.id;
-                    outcome = Error error;
-                    cache_hit = false;
-                    latency_s = 0.;
-                  })
-            group)
+      (List.iter (fun (index, request) ->
+           responses.(index) <- Some (process form t request)))
       (group_by_site requests);
     Array.to_list responses
     |> List.map (function
@@ -228,26 +205,6 @@ let one form t request =
 
 let segment_one t request = one result_of t request
 let reply_one t request = one body_of t request
-
-(* One request is one unit, whose records all exist only once its whole
-   input is segmented, so streaming it is [process] followed by a replay
-   of the result's records — memo hits and misses alike. *)
-let stream_in form t ~on_record (request : request) =
-  let started = Unix.gettimeofday () in
-  Metrics.incr t.stream_requests;
-  let served = process t request in
-  (match Result.map result_of served.outcome with
-  | Ok { Tabseg.Api.segmentation = { Tabseg.Segmentation.records; _ }; _ }
-    when records <> [] ->
-    Metrics.observe t.ttfr_seconds (Unix.gettimeofday () -. started);
-    List.iter on_record records
-  | Ok _ | Error _ -> ());
-  in_form form served
-
-let segment_stream t ~on_record request =
-  stream_in result_of t ~on_record request
-
-let reply_stream t ~on_record request = stream_in body_of t ~on_record request
 
 let maintenance t = Option.iter Store.refresh t.store
 

@@ -44,8 +44,9 @@ type request = {
 
 type error =
   | Worker_crashed of string
-      (** the pipeline raised on a request of the batch's site group;
-          every request of that group carries the exception, printed *)
+      (** something raised on this request's way (the pipeline, a stage
+          subscriber, the cache): the exception, printed. The other
+          requests of its batch keep their answers. *)
   | Invalid_input of Tabseg.Api.input_error
 
 val error_message : error -> string
@@ -80,7 +81,9 @@ val store_stats : t -> Tabseg_store.Store.stats option
 val run_batch : t -> request list -> response list
 (** Process a batch: group by [site] and run the groups one after
     another, in the order each site first appears. The response list is
-    in request order. *)
+    in request order. A request that raises resolves as
+    [Worker_crashed] alone; each request counts once in
+    [requests.total] and once in [requests.ok] or [requests.failed]. *)
 
 val segment_one : t -> request -> response
 (** [run_batch] of a singleton. *)
@@ -89,19 +92,6 @@ val reply_one : t -> request -> reply
 (** {!segment_one} with the result as its body: the memo entry's body
     (encoded and kept on the first ask), or, without a cache, encoded
     now. Used where the answer leaves the process. *)
-
-val segment_stream :
-  t -> on_record:(Tabseg.Segmentation.record -> unit) -> request -> response
-(** The streaming seam: {!segment_one}'s per-request path (memo, template
-    cache, store), then the result's records
-    through [on_record], in order, before the identical response is
-    returned. A request is one unit, whose records exist only once its
-    whole input is segmented. Counts [stream.requests] and observes
-    [stream.time_to_first_record_seconds] when there is a record. *)
-
-val reply_stream :
-  t -> on_record:(Tabseg.Segmentation.record -> unit) -> request -> reply
-(** {!segment_stream} with the result as its body, as {!reply_one}. *)
 
 val maintenance : t -> unit
 (** Periodic housekeeping between batches: {!Tabseg_store.Store.refresh}

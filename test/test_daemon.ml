@@ -51,12 +51,6 @@ let render_reply (reply : Protocol.reply) =
 let request ?(site = "daemon-test") id =
   { Service.id; site; input = Lazy.force small_input }
 
-let sample_record =
-  lazy
-    (List.hd
-       (Lazy.force reference_result).Tabseg.Api.segmentation
-         .Tabseg.Segmentation.records)
-
 let temp_sock =
   let counter = ref 0 in
   fun () ->
@@ -162,10 +156,7 @@ let test_message_roundtrip () =
       Protocol.Welcome { server_pid = 1; procs = 2; max_conn_inflight = 32 };
       Protocol.Rejected { reason = "bad auth token" };
       Protocol.Submit { seq = 3; request = request "r3" };
-      Protocol.Submit_stream { seq = 4; request = request "r4" };
       reply (Ok (Lazy.force reference_result));
-      Protocol.Reply_record
-        { seq = 4; index = 0; record = Lazy.force sample_record };
       Protocol.Stats_request;
       Protocol.Stats [ ("daemon.requests", 12.) ];
       Protocol.Goodbye;
@@ -444,49 +435,10 @@ let test_quota_retry_after_crosses_the_wire () =
   | Ok _ -> Alcotest.fail "second request should exceed the quota"
   | Error e -> Alcotest.fail ("wrong error: " ^ Gw.error_message e)
 
-let test_stream_roundtrip () =
-  (* A Submit_stream delivers every record as a Reply_record before the
-     terminal Reply, indexed 0..n-1 in emission order, and the terminal
-     reply is byte-identical to what a plain Submit returns. The
-     connection stays usable for plain submits afterwards. *)
-  with_daemon (daemon_config ~procs:2 ()) @@ fun handle ->
-  let client = connect_exn handle.Daemon.address in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-  let streamed = ref [] in
-  (match
-     Client.submit_stream client
-       ~on_record:(fun index record ->
-         streamed := (index, record) :: !streamed)
-       (request "stream-0")
-   with
-  | Error e -> Alcotest.fail (Client.error_message e)
-  | Ok reply -> (
-    check_string "terminal stream reply byte-identical to a plain submit"
-      (Lazy.force reference) (render_reply reply);
-    match reply.Protocol.outcome with
-    | Error error -> Alcotest.fail ("stream errored: " ^ Gw.error_message error)
-    | Ok result ->
-      let records =
-        result.Tabseg.Api.segmentation.Tabseg.Segmentation.records
-      in
-      let streamed = List.rev !streamed in
-      check_int "every record streamed before the terminal reply"
-        (List.length records) (List.length streamed);
-      List.iteri
-        (fun i (index, record) ->
-          check_int "record frames are indexed in order" i index;
-          check_bool "streamed record equals its batch twin" true
-            (record = List.nth records i))
-        streamed));
-  let reply = submit_exn client (request "after-stream") in
-  check_string "plain submit still works after a stream"
-    (Lazy.force reference) (render_reply reply)
-
-(* What a client decodes equals (=) the in-process result: a miss, a
-   memo hit and a stream's terminal reply from a two-worker fleet; from
-   a one-worker ([procs = 1]) daemon over a store, a miss and a hit, and
-   after a restart on the same store directory, a hit promoted from
-   it. *)
+(* What a client decodes equals (=) the in-process result: a miss and a
+   memo hit from a two-worker fleet; from a one-worker ([procs = 1])
+   daemon over a store, a miss and a hit, and after a restart on the
+   same store directory, a hit promoted from it. *)
 let check_served label ~cache_hit (reply : Protocol.reply) =
   check_bool (label ^ ": cache hit") cache_hit reply.Protocol.cache_hit;
   match reply.Protocol.outcome with
@@ -501,10 +453,7 @@ let test_replies_equal_in_process () =
    Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
    check_served "forked miss" ~cache_hit:false
      (submit_exn client (request "miss"));
-   check_served "forked hit" ~cache_hit:true (submit_exn client (request "hit"));
-   match Client.submit_stream client ~on_record:(fun _ _ -> ()) (request "s") with
-   | Ok reply -> check_served "forked stream" ~cache_hit:true reply
-   | Error e -> Alcotest.fail (Client.error_message e));
+   check_served "forked hit" ~cache_hit:true (submit_exn client (request "hit")));
   let store_dir = temp_sock () ^ ".tabstore" in
   Fun.protect ~finally:(fun () ->
       if Sys.file_exists store_dir then begin
@@ -779,37 +728,6 @@ let test_loadgen_closed_loop () =
       (stats.Loadgen.p50_ms <= stats.Loadgen.p95_ms
       && stats.Loadgen.p95_ms <= stats.Loadgen.p99_ms)
 
-let test_loadgen_stream_ttfr () =
-  (* Stream mode under pipelined load: records arrive, byte-identity
-     still holds, and the coordinated-omission-free TTFR percentiles
-     are ordered and never later than the full-reply percentiles. *)
-  with_daemon (daemon_config ~procs:2 ()) @@ fun handle ->
-  let config =
-    {
-      Loadgen.default_config with
-      Loadgen.address = handle.Daemon.address;
-      connections = 2;
-      mode = Loadgen.Closed_loop { pipeline = 2 };
-      duration_s = 0.4;
-      sites = [| ("daemon-test", Lazy.force small_input) |];
-      expected = [ ("daemon-test", Lazy.force reference) ];
-      stream = true;
-    }
-  in
-  match Loadgen.run config with
-  | Error why -> Alcotest.fail why
-  | Ok stats ->
-    check_bool "streams carried record frames" true
-      (stats.Loadgen.records > 0);
-    check_int "nothing failed while streaming" 0 stats.Loadgen.failed;
-    check_int "byte-identity holds while streaming" 0
-      stats.Loadgen.mismatches;
-    check_bool "ttfr percentiles are ordered" true
-      (stats.Loadgen.ttfr_p50_ms <= stats.Loadgen.ttfr_p95_ms
-      && stats.Loadgen.ttfr_p95_ms <= stats.Loadgen.ttfr_p99_ms);
-    check_bool "first record is never later than the full reply" true
-      (stats.Loadgen.ttfr_p50_ms <= stats.Loadgen.p50_ms)
-
 let test_loadgen_quota_retry_recovers () =
   with_daemon (daemon_config ~site_quota:20.0 ()) @@ fun handle ->
   let run retry =
@@ -950,8 +868,6 @@ let () =
             test_conn_inflight_limit;
           Alcotest.test_case "quota retry-after crosses the wire" `Slow
             test_quota_retry_after_crosses_the_wire;
-          Alcotest.test_case "stream roundtrip: records before the reply"
-            `Slow test_stream_roundtrip;
           Alcotest.test_case "served results equal the in-process result"
             `Slow test_replies_equal_in_process;
           Alcotest.test_case "procs 1: Stats answered while a request runs"
@@ -972,8 +888,6 @@ let () =
         [
           Alcotest.test_case "closed loop, byte-identical" `Slow
             test_loadgen_closed_loop;
-          Alcotest.test_case "stream mode: records and TTFR percentiles"
-            `Slow test_loadgen_stream_ttfr;
           Alcotest.test_case "quota retry recovers goodput" `Slow
             test_loadgen_quota_retry_recovers;
         ] );

@@ -271,8 +271,8 @@ let test_wire_frame_bytes () =
   in
   let frame = Wire.frame_payload "123456789" in
   check_int "header + payload" 25 (String.length frame);
-  check_string "header: magic, version 7, CRC-32, length"
-    "5453475700000007cbf4392600000009" (hex (String.sub frame 0 16));
+  check_string "header: magic, version 8, CRC-32, length"
+    "5453475700000008cbf4392600000009" (hex (String.sub frame 0 16));
   check_string "payload follows" "123456789" (String.sub frame 16 9)
 
 (* ------------------------- connection reader ------------------------ *)
@@ -804,59 +804,6 @@ let test_ping_timeout_restarts_wedged_worker () =
   check_bool "the wedged worker went through the restart path" true
     (counter_value gateway "gateway.worker_restarts" >= 1)
 
-(* ----------------------------- streaming ---------------------------- *)
-
-let stream_one gateway (request : Service.request) =
-  (* One streaming submission pumped to completion; returns the final
-     response plus the streamed records in arrival order. *)
-  let records = ref [] in
-  let result = ref None in
-  Gateway.submit_stream gateway
-    ~on_record:(fun index record -> records := (index, record) :: !records)
-    ~on_complete:(fun response -> result := Some response)
-    request;
-  let rec wait () =
-    match !result with
-    | Some response -> response
-    | None ->
-      Gateway.pump ~max_wait_s:0.05 gateway;
-      wait ()
-  in
-  let response = wait () in
-  (response, List.rev !records)
-
-let check_stream_against expected (response, streamed) =
-  check_string "final stream response byte-identical" expected
-    (render_response response);
-  match Gateway.result response with
-  | Error error -> Alcotest.fail ("stream errored: " ^ Gateway.error_message error)
-  | Ok result ->
-    let batch_records = result.Tabseg.Api.segmentation.Tabseg.Segmentation.records in
-    check_int "streamed every record exactly once"
-      (List.length batch_records) (List.length streamed);
-    List.iteri
-      (fun i (index, record) ->
-        check_int "frame indexes are 0..n-1 in order" i index;
-        check_bool "streamed record equals its batch twin" true
-          (record = List.nth batch_records i))
-      streamed
-
-let test_stream_matches_batch_forked () =
-  (* Every record a procs=2 stream emits must be the batch record, in
-     emission order, with the terminal response byte-identical to the
-     sequential reference — streaming is a delivery schedule, not a
-     different computation. *)
-  let requests = requests_of [ "AmazonBooks"; "AlleghenyCounty" ] in
-  let expected = sequential_reference requests in
-  with_gateway { Gateway.default_config with Gateway.procs = 2 }
-  @@ fun gateway ->
-  List.iteri
-    (fun i request ->
-      check_stream_against (List.nth expected i) (stream_one gateway request))
-    requests;
-  check_bool "stream submissions counted" true
-    (counter_value gateway "gateway.stream.requests" >= List.length requests)
-
 (* ------------------------------- memo ------------------------------- *)
 
 (* [submit] one request; its response if it completed inside the call. *)
@@ -931,27 +878,6 @@ let test_no_memo_without_cache () =
   check_bool "not a hit" false (Option.get !got).Gateway.cache_hit;
   check_int "no memo hit" 0 (counter_value gateway "gateway.memo_hits");
   check_bool "no memo bytes" true (memo_bytes gateway = 0.)
-
-(* A stream's records need the decoded result, so a memoized input
-   still streams from a worker: every record, in order, before its
-   terminal reply. *)
-let test_stream_of_memoized_input () =
-  let request = List.hd (requests_of [ "ButlerCounty" ]) in
-  let expected = List.hd (sequential_reference [ request ]) in
-  with_gateway { Gateway.default_config with Gateway.procs = 2 }
-  @@ fun gateway ->
-  ignore (Gateway.run_batch gateway [ request ]);
-  let records = ref [] and result = ref None in
-  Gateway.submit_stream gateway
-    ~on_record:(fun index record ->
-      check_bool "a record before the terminal reply" true (!result = None);
-      records := (index, record) :: !records)
-    ~on_complete:(fun response -> result := Some response)
-    request;
-  check_bool "not answered inside submit" true (!result = None);
-  pump_until gateway (fun () -> !result <> None);
-  check_stream_against expected (Option.get !result, List.rev !records);
-  check_int "no memo hit" 0 (counter_value gateway "gateway.memo_hits")
 
 (* Draining and an exhausted per-site quota refuse a would-be hit
    before the memo is read. *)
@@ -1175,19 +1101,12 @@ let () =
           Alcotest.test_case "ping timeout restarts a wedged worker" `Slow
             test_ping_timeout_restarts_wedged_worker;
         ] );
-      ( "streaming",
-        [
-          Alcotest.test_case "forked stream: records = batch, in order"
-            `Slow test_stream_matches_batch_forked;
-        ] );
       ( "memo",
         [
           Alcotest.test_case "a repeat is answered inside submit" `Quick
             test_memo_hit_inside_submit;
           Alcotest.test_case "no memo without a cache" `Quick
             test_no_memo_without_cache;
-          Alcotest.test_case "a stream of a memoized input reaches a worker"
-            `Quick test_stream_of_memoized_input;
           Alcotest.test_case "draining and quota refuse a would-be hit" `Quick
             test_memo_behind_drain_and_quota;
           Alcotest.test_case "a hit needs no live worker" `Quick

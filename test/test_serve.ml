@@ -1,7 +1,7 @@
 (* The serving layer: batch-vs-sequential determinism, cache
    correctness (a hit returns exactly what the cold miss computed, the
-   request key's values pinned), LRU eviction under a tiny budget, and
-   monotone metrics. *)
+   request key's values pinned), LRU eviction under a tiny budget,
+   monotone metrics, and a raising request failing alone. *)
 
 open Tabseg_serve
 open Tabseg_sitegen
@@ -318,67 +318,50 @@ let test_service_metrics_flow () =
   check_bool "json dump mentions the counters" true
     (contains json {|"requests.total"|})
 
-(* The stream seam: a cold miss, a memo hit and an invalid request each
-   answer exactly as segment_one does, and on_record sees exactly the
-   result's records, in order. *)
-let test_segment_stream_seam () =
-  let request = List.hd (requests_of [ "ButlerCounty" ]) in
-  let blank =
-    {
-      request with
-      Service.id = "blank";
-      input =
-        { request.Service.input with Tabseg.Pipeline.list_pages = [ " " ] };
-    }
+(* A request that raises answers alone: here a stage subscriber, armed
+   once the first request has been segmented, raises from the second
+   request on. The first keeps its answer, the second and a later
+   [reply_one] resolve as [Worker_crashed], and each request counts once
+   in [requests.total] and once in [requests.ok] or [requests.failed]. *)
+let test_crash_fails_alone () =
+  let first, second =
+    match requests_of [ "AmazonBooks" ] with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "AmazonBooks has fewer than two pages"
   in
-  let service = Service.create () and reference = Service.create () in
+  let third = List.hd (requests_of [ "ButlerCounty" ]) in
+  let expected =
+    List.hd (sequential_reference ~method_:Tabseg.Api.Probabilistic [ first ])
+  in
+  let service = Service.create () in
+  let armed = ref false in
+  let raising =
+    Tabseg.Instrument.subscribe (fun event ->
+        if !armed then failwith "stage subscriber";
+        if String.starts_with ~prefix:"segment." event.Tabseg.Instrument.stage
+        then armed := true)
+  in
   Fun.protect
     ~finally:(fun () ->
-      Service.shutdown service;
-      Service.shutdown reference)
+      Tabseg.Instrument.unsubscribe raising;
+      Service.shutdown service)
   @@ fun () ->
-  let stream label (request : Service.request) =
-    let streamed = ref [] in
-    let response =
-      Service.segment_stream service
-        ~on_record:(fun record -> streamed := record :: !streamed)
-        request
-    in
-    check_string (label ^ ": response = segment_one's")
-      (render_response (Service.segment_one reference request))
-      (render_response response);
-    (response, List.rev !streamed)
+  let crashed label = function
+    | Error (Service.Worker_crashed _) -> ()
+    | Ok _ | Error _ -> Alcotest.fail (label ^ ": expected Worker_crashed")
   in
-  List.iter
-    (fun (label, cache_hit) ->
-      let response, streamed = stream label request in
-      check_bool (label ^ ": cache hit") cache_hit response.Service.cache_hit;
-      match response.Service.outcome with
-      | Ok result ->
-        let records =
-          result.Tabseg.Api.segmentation.Tabseg.Segmentation.records
-        in
-        check_bool (label ^ ": has records") true (records <> []);
-        check_bool (label ^ ": on_record saw the records, in order") true
-          (streamed = records)
-      | Error error -> Alcotest.fail (Service.error_message error))
-    [ ("miss", false); ("hit", true) ];
-  (match stream "blank" blank with
-  | ( {
-        Service.outcome =
-          Error (Service.Invalid_input Tabseg.Api.Blank_list_page);
-        _;
-      },
-      [] ) ->
-    ()
-  | _ -> Alcotest.fail "blank list page: Invalid_input and no record");
+  (match Service.run_batch service [ first; second ] with
+  | [ a; b ] ->
+    check_string "the first request keeps its answer" expected
+      (render_response a);
+    crashed "the second request" b.Service.outcome
+  | _ -> Alcotest.fail "expected two responses");
+  crashed "reply_one" (Service.reply_one service third).Service.outcome;
   let registry = Service.metrics service in
-  check_int "stream.requests" 3
-    (Metrics.counter_value (Metrics.counter registry "stream.requests"));
-  check_int "time to first record, once per valid request" 2
-    (Metrics.summary
-       (Metrics.histogram registry "stream.time_to_first_record_seconds"))
-      .Metrics.count
+  let count name = Metrics.counter_value (Metrics.counter registry name) in
+  check_int "requests.total" 3 (count "requests.total");
+  check_int "requests.ok" 1 (count "requests.ok");
+  check_int "requests.failed" 2 (count "requests.failed")
 
 (* A minimal RFC 8259 string-literal parser: enough to prove that what
    [Metrics.json_string] emits decodes back to the original bytes. *)
@@ -482,9 +465,12 @@ let () =
             test_metrics_histogram_percentiles;
           Alcotest.test_case "service threads metrics" `Quick
             test_service_metrics_flow;
-          Alcotest.test_case "stream seam = segment_one, records replayed"
-            `Quick test_segment_stream_seam;
           Alcotest.test_case "hostile label survives json escaping" `Quick
             test_json_string_hostile_label;
+        ] );
+      ( "failure",
+        [
+          Alcotest.test_case "a crashing request fails alone, counted once"
+            `Quick test_crash_fails_alone;
         ] );
     ]
