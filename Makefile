@@ -5,9 +5,10 @@
 # sequential segmentation byte for byte), the store smoke (write →
 # reopen → byte-identical read, plus the warm-start guarantee through
 # the persistent cache tier), and the gateway smoke (procs=1 and
-# procs=2 responses byte-identical to sequential, and a worker killed
-# mid-request recovers to a correct — not typed-error — result via a
-# single re-dispatch), and
+# procs=2 responses byte-identical to sequential, a second copy of
+# every request in one batch joins the first one's frame at the master
+# and comes back a hit, and a worker killed mid-request recovers to a
+# correct — not typed-error — result via a single re-dispatch), and
 # the overload smoke (a fixed-seed Zipf-skewed burst at ~1.6x fleet
 # capacity: the spill+shed gateway must keep goodput positive with the
 # degradation ladder demonstrably engaged, no worker crashes, and every
@@ -23,8 +24,8 @@
 # a 200-site corpus sample must stream byte-identically to the batch
 # segmentation under both methods), and the CLI smoke (for every site
 # `tabseg sites` lists, `tabseg auto -s SITE` must print the same bytes
-# in its direct mode, with --procs 2, and with --store DIR cold and
-# then warm).
+# by default (one in-process service), with --procs 2, and with
+# --store DIR cold and then warm).
 # `lint` runs tabseg_lint over lib/ bin/ bench/ and fails on any
 # unsuppressed finding. Two passes share one rule catalog and one
 # [@tabseg.allow] suppression syntax: the syntactic rules (TS001-TS007:

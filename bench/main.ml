@@ -933,9 +933,8 @@ let store_smoke () =
     (List.length requests)
 
 (* The per-PR serve guard: on one generated site, a cached service's
-   cold and warm rounds must reproduce the sequential segmentation
-   byte-for-byte, and the warm round must be served from the result
-   memo. *)
+   cold and warm rounds (the warm one over cached templates) must
+   reproduce the sequential segmentation byte-for-byte. *)
 let serve_smoke () =
   section "Serve smoke: warm-cache identity";
   let site = Sites.find "ButlerCounty" in
@@ -970,14 +969,7 @@ let serve_smoke () =
   Fun.protect ~finally:(fun () -> Serve.Service.shutdown service)
   @@ fun () ->
   let cold = render_responses (Serve.Service.run_batch service requests) in
-  let warm_responses = Serve.Service.run_batch service requests in
-  let warm = render_responses warm_responses in
-  let hits =
-    List.length
-      (List.filter
-         (fun (r : Serve.Service.response) -> r.Serve.Service.cache_hit)
-         warm_responses)
-  in
+  let warm = render_responses (Serve.Service.run_batch service requests) in
   let ok = ref true in
   if cold <> sequential then begin
     ok := false;
@@ -988,13 +980,8 @@ let serve_smoke () =
     Printf.printf
       "SMOKE FAILURE: warm-cache run diverged from sequential\n"
   end;
-  if hits < List.length requests then begin
-    ok := false;
-    Printf.printf "SMOKE FAILURE: only %d/%d warm requests hit the memo\n"
-      hits (List.length requests)
-  end;
   if not !ok then exit 1;
-  Printf.printf "smoke ok: cold = warm = sequential, %d/%d warm hits\n" hits
+  Printf.printf "smoke ok: cold = warm = sequential (%d pages)\n"
     (List.length requests)
 
 (* ------------------------------------------------------------------ *)
@@ -1208,12 +1195,16 @@ let gateway_kill_mid_request requests =
       (Serve.Metrics.counter (Gw.metrics gateway) "gateway.worker_restarts") )
 
 (* The per-PR gateway guard: procs=1 (one forked worker) and procs=2
-   must each reproduce the sequential segmentation byte for byte, and a
-   worker killed mid-request must be restarted with the request
-   re-dispatched — the caller sees the correct result, not a typed
-   error. *)
+   must each reproduce the sequential segmentation byte for byte; every
+   request submitted twice in one batch must have its second copy join
+   the first one's frame at the master (a hit with the same rendering,
+   counted in gateway.memo_hits); and a worker killed mid-request must
+   be restarted with the request re-dispatched — the caller sees the
+   correct result, not a typed error. *)
 let gateway_smoke () =
-  section "Gateway smoke: procs=1/2 byte-identity + worker-kill recovery";
+  section
+    "Gateway smoke: procs=1/2 byte-identity, joined copies, worker-kill \
+     recovery";
   let site = Sites.find "ButlerCounty" in
   let generated = Sites.generate site in
   let requests =
@@ -1249,15 +1240,45 @@ let gateway_smoke () =
       if rendered <> reference then
         fail "procs=%d diverged from sequential" procs)
     [ 1; 2 ];
-  (* 2. a worker killed mid-request recovers to the correct result. *)
+  (* 2. each request twice in one batch: the copies join the frames in
+     flight and come back as hits, rendered as the first copies. *)
+  (let gateway = Gw.create ~config:{ Gw.default_config with Gw.procs = 2 } () in
+   Fun.protect ~finally:(fun () -> Gw.shutdown gateway) @@ fun () ->
+   let copies =
+     List.map
+       (fun (r : Serve.Service.request) ->
+         { r with Serve.Service.id = r.Serve.Service.id ^ "/copy" })
+       requests
+   in
+   let responses = Gw.run_batch gateway (requests @ copies) in
+   let n = List.length requests in
+   let firsts = List.filteri (fun i _ -> i < n) responses
+   and seconds = List.filteri (fun i _ -> i >= n) responses in
+   if render_gateway_responses firsts <> reference then
+     fail "first copies diverged from sequential";
+   List.iter2
+     (fun first (second : Gw.response) ->
+       if not second.Gw.cache_hit then
+         fail "%s: the second copy was not a hit" second.Gw.id;
+       if render_gateway_responses [ second ] <> render_gateway_responses [ first ]
+       then fail "%s: the second copy renders otherwise" second.Gw.id)
+     firsts seconds;
+   let memo_hits =
+     Serve.Metrics.counter_value
+       (Serve.Metrics.counter (Gw.metrics gateway) "gateway.memo_hits")
+   in
+   if memo_hits <> n then
+     fail "gateway.memo_hits counted %d of %d copies" memo_hits n);
+  (* 3. a worker killed mid-request recovers to the correct result. *)
   let recovered, restarts = gateway_kill_mid_request requests in
   if recovered <> reference then
     fail "responses after worker crash diverged from sequential";
   if restarts < 1 then fail "worker crash was not supervised (no restart)";
   if not !ok then exit 1;
   Printf.printf
-    "smoke ok: procs=1 = procs=2 = sequential (%d pages), crash recovery \
-     via %d restart(s) returned correct results\n"
+    "smoke ok: procs=1 = procs=2 = sequential (%d pages), every second \
+     copy a joined hit, crash recovery via %d restart(s) returned correct \
+     results\n"
     (List.length requests) restarts
 
 (* ------------------------------------------------------------------ *)
@@ -2456,11 +2477,11 @@ let run_cli exe args =
   (Unix.close_process_in out, printed)
 
 (* For every site `tabseg sites` lists, `tabseg auto -s SITE` must print
-   the same bytes in its direct mode, through the gateway's forked
-   workers (--procs 2), and through an in-process Service over a
-   persistent store, cold and then warm. *)
+   the same bytes by default (one in-process Service), through the
+   gateway's forked workers (--procs 2), and through an in-process
+   Service over a persistent store, cold and then warm. *)
 let cli_smoke () =
-  section "CLI smoke: tabseg auto, direct = --procs 2 = --store cold/warm";
+  section "CLI smoke: tabseg auto, default = --procs 2 = --store cold/warm";
   (* the CLI dune builds beside this executable: _build/default/bin/
      next to _build/default/bench/ *)
   let exe =
@@ -2506,14 +2527,14 @@ let cli_smoke () =
           fail "%s, %s: tabseg auto did not exit 0" site label;
           None
       in
-      match auto "direct" [] with
+      match auto "default" [] with
       | None -> ()
-      | Some direct ->
+      | Some default ->
         List.iter
           (fun (label, extra) ->
             match auto label extra with
-            | Some printed when printed <> direct ->
-              fail "%s, %s: other bytes than the direct run" site label
+            | Some printed when printed <> default ->
+              fail "%s, %s: other bytes than the default run" site label
             | Some _ | None -> ())
           [
             ("--procs 2", [ "--procs"; "2" ]);
@@ -2523,7 +2544,7 @@ let cli_smoke () =
     sites;
   if not !ok then exit 1;
   Printf.printf
-    "smoke ok: %d sites, tabseg auto byte-identical direct, with --procs 2 \
+    "smoke ok: %d sites, tabseg auto byte-identical by default, with --procs 2 \
      and with --store cold and warm\n"
     (List.length sites)
 

@@ -223,6 +223,113 @@ let reconstruct_cmd =
              site as CSV")
     Term.(const run $ method_arg $ lists_arg $ details_arg $ out_arg)
 
+(* -------------------------- serving flags -------------------------- *)
+
+(* The serving flags of `tabseg auto` and `tabseg serve`, as one gateway
+   configuration; only the default of --procs differs. *)
+let gateway_config method_ procs cache_mb store_dir spill_threshold
+    site_quota shed deadline =
+  let open Tabseg_serve in
+  let open Tabseg_gateway in
+  {
+    Gateway.default_config with
+    Gateway.procs = max 1 procs;
+    deadline_s = deadline;
+    spill_threshold;
+    site_quota_rps = site_quota;
+    shed;
+    service =
+      {
+        Service.default_config with
+        Service.method_;
+        cache =
+          (if cache_mb > 0 then Some { Cache.capacity_mb = cache_mb }
+           else None);
+        store_dir;
+      };
+  }
+
+let gateway_term ~procs =
+  let procs_arg =
+    let doc =
+      "Worker processes behind the gateway (a master and forked workers \
+       over socket RPC, requests sharded by site affinity). Results are \
+       byte-identical to a sequential run. At 1, $(b,tabseg auto) \
+       segments in this process, with no gateway, and $(b,tabseg serve) \
+       forks one worker, so the daemon's own loop never segments."
+    in
+    Arg.(value & opt int procs & info [ "procs" ] ~doc ~docv:"N")
+  in
+  let cache_mb_arg =
+    let doc =
+      "Budget (MB) of each service's template cache. It also bounds the \
+       gateway master's memo of reply bodies, which answers a repeated \
+       input without a worker. 0 turns both off."
+    in
+    Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
+  in
+  let store_arg =
+    let doc =
+      "Back the caches with a persistent store in this directory \
+       (created if missing; conventionally NAME.tabstore). Induced \
+       templates and results written there survive restarts and are \
+       shared with other tabseg processes and among a gateway's \
+       workers: the first to grab the lock writes, the rest read and \
+       offload their writes back to it."
+    in
+    Arg.(
+      value & opt (some string) None & info [ "store" ] ~doc ~docv:"DIR")
+  in
+  let spill_arg =
+    let doc =
+      "Adaptive affinity at the gateway. When a request's site-affinity \
+       worker already holds more than $(docv) requests, route it to the \
+       least-loaded worker instead (counted as gateway.spilled). \
+       Results stay byte-identical; only tail latency changes. Unset: \
+       strict affinity, never spill."
+    in
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "spill-threshold" ] ~doc ~docv:"N")
+  in
+  let quota_arg =
+    let doc =
+      "Per-site admission quota at the gateway. Each site gets a token \
+       bucket refilled at $(docv) requests/second (burst = one second of \
+       quota), so one hot site cannot monopolize the workers; excess \
+       requests fail with a typed quota error carrying a retry-after \
+       hint, which $(b,tabseg loadgen --retry) honours. Unset: \
+       unlimited."
+    in
+    Arg.(
+      value & opt (some float) None & info [ "site-quota" ] ~doc ~docv:"RPS")
+  in
+  let shed_arg =
+    let doc =
+      "With --deadline: deadline-aware load shedding at the gateway. \
+       Reject at admission any request predicted (per-worker EWMA of \
+       service time times queue depth) to miss its deadline, so worker \
+       queues hold only winnable work. Off by default: requests queue \
+       and may burn their whole deadline before failing."
+    in
+    Arg.(value & flag & info [ "shed" ] ~doc)
+  in
+  let deadline_arg =
+    let doc =
+      "Per-request deadline at the gateway, in seconds; a request not \
+       answered in time fails with a typed deadline error. Unset: wait \
+       forever."
+    in
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "deadline" ] ~doc ~docv:"SECONDS")
+  in
+  Term.(
+    const gateway_config $ method_arg $ procs_arg $ cache_mb_arg $ store_arg
+    $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
+
 (* ------------------------------- auto ------------------------------ *)
 
 (* Cache effectiveness for the --metrics dump: the registry's histograms
@@ -233,17 +340,13 @@ let cache_stats_dump service =
   | Some stats ->
     let open Tabseg_serve in
     let buffer = Buffer.create 256 in
-    let tier name (s : Shard.stats) =
-      Buffer.add_string buffer
-        (Printf.sprintf
-           "  %-12s %6d hits %6d misses  (%5.1f%% hit rate)  %d entries\n"
-           name s.Shard.hits s.Shard.misses
-           (100. *. Cache.hit_rate s)
-           s.Shard.entries)
-    in
-    Buffer.add_string buffer "cache:\n";
-    tier "templates" stats.Cache.templates;
-    tier "results" stats.Cache.results;
+    let s = stats.Cache.templates in
+    Buffer.add_string buffer
+      (Printf.sprintf
+         "cache:\n  %-12s %6d hits %6d misses  (%5.1f%% hit rate)  %d entries\n"
+         "templates" s.Shard.hits s.Shard.misses
+         (100. *. Cache.hit_rate s)
+         s.Shard.entries);
     (match stats.Cache.persist with
     | None -> ()
     | Some p ->
@@ -261,6 +364,53 @@ let cache_stats_dump service =
            s.Tabseg_store.Store.entries
            (s.Tabseg_store.Store.file_bytes / 1024)));
     Buffer.contents buffer
+
+(* Run [f] with a batch segmenter over a service: in this process at
+   --procs 1, through the gateway's forked workers above that. Returns
+   [f]'s answer, the metrics dump (in process, with the cache's hit
+   rates) and the metrics as JSON. *)
+let with_segmenter (config : Tabseg_gateway.Gateway.config) f =
+  let open Tabseg_serve in
+  let open Tabseg_gateway in
+  let requests batch =
+    List.map (fun (url, input) -> { Service.id = url; site = url; input }) batch
+  in
+  let failure message = Error (Tabseg.Api.Pipeline_failure message) in
+  let finish answer registry cache_dump =
+    (answer, Metrics.report registry ^ cache_dump, Metrics.to_json registry)
+  in
+  if config.Gateway.procs > 1 then begin
+    let gateway = Gateway.create ~config () in
+    Gateway.install_sigterm gateway;
+    Fun.protect ~finally:(fun () -> Gateway.shutdown gateway) @@ fun () ->
+    let answer =
+      f (fun batch ->
+          List.map
+            (fun response ->
+              match Gateway.result response with
+              | Ok result -> Ok result
+              | Error (Gateway.Service_error (Service.Invalid_input error)) ->
+                Error error
+              | Error error -> failure (Gateway.error_message error))
+            (Gateway.run_batch gateway (requests batch)))
+    in
+    finish answer (Gateway.metrics gateway) ""
+  end
+  else begin
+    let service = Service.create ~config:config.Gateway.service () in
+    Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+    let answer =
+      f (fun batch ->
+          List.map
+            (fun (response : Service.response) ->
+              match response.Service.outcome with
+              | Ok result -> Ok result
+              | Error (Service.Invalid_input error) -> Error error
+              | Error error -> failure (Service.error_message error))
+            (Service.run_batch service (requests batch)))
+    in
+    finish answer (Service.metrics service) (cache_stats_dump service)
+  end
 
 let auto_cmd =
   let site_arg =
@@ -303,25 +453,6 @@ let auto_cmd =
     in
     Arg.(value & flag & info [ "report" ] ~doc)
   in
-  let procs_arg =
-    let doc =
-      "Shard segmentation across this many worker processes through \
-       the gateway (master + forked workers over socket RPC). 1 \
-       segments in this process, with no gateway. Combine with --store \
-       so the workers share one warm cache directory: the first to grab \
-       the lock writes, the rest read and offload their writes back to \
-       it. Results are byte-identical to a sequential run."
-    in
-    Arg.(value & opt int 1 & info [ "procs" ] ~doc ~docv:"N")
-  in
-  let cache_mb_arg =
-    let doc =
-      "Budget (MB) of the serving layer's template cache and result \
-       memo; with --procs above 1 it also bounds the gateway master's \
-       memo of reply bodies. 0 disables caching."
-    in
-    Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
-  in
   let metrics_arg =
     let doc =
       "Print the metrics registry after the run: request counters, \
@@ -342,64 +473,8 @@ let auto_cmd =
       & opt (some string) None
       & info [ "metrics-json" ] ~doc ~docv:"PATH")
   in
-  let store_arg =
-    let doc =
-      "Back the caches with a persistent store in this directory \
-       (created if missing; conventionally NAME.tabstore). Induced \
-       templates and results written there survive restarts and are \
-       shared with other tabseg processes (one writer, many readers)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "store" ] ~doc ~docv:"DIR")
-  in
-  let spill_arg =
-    let doc =
-      "With --procs > 1: adaptive affinity. When a request's \
-       site-affinity worker already holds more than $(docv) requests, \
-       route it to the least-loaded worker instead (counted as \
-       gateway.spilled). Results stay byte-identical; only tail \
-       latency changes. Unset: strict affinity, never spill."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "spill-threshold" ] ~doc ~docv:"N")
-  in
-  let quota_arg =
-    let doc =
-      "With --procs > 1: per-site admission quota. Each site gets a \
-       token bucket refilled at $(docv) requests/second (burst = one \
-       second of quota), so one hot site cannot monopolize the \
-       workers; excess requests fail with a typed quota error carrying \
-       a retry-after hint. Unset: unlimited."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "site-quota" ] ~doc ~docv:"RPS")
-  in
-  let shed_arg =
-    let doc =
-      "With --procs > 1 and --deadline: deadline-aware load shedding. \
-       Reject at admission any request predicted (per-worker EWMA of \
-       service time times queue depth) to miss its deadline, so worker \
-       queues hold only winnable work. Off by default: requests queue \
-       and may burn their whole deadline before failing."
-    in
-    Arg.(value & flag & info [ "shed" ] ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "With --procs > 1: per-request deadline at the gateway, in \
-       seconds; a request not answered in time fails with a typed \
-       deadline error. Unset: wait forever."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~doc ~docv:"SECONDS")
-  in
-  let run method_ site_name fault_rate fault_seed permanent retries
-      show_report procs cache_mb show_metrics metrics_json store_dir
-      spill_threshold site_quota shed deadline =
+  let run site_name fault_rate fault_seed permanent retries show_report
+      show_metrics metrics_json config =
     match Tabseg_sitegen.Sites.find site_name with
     | exception Not_found ->
       Printf.eprintf "unknown site %S; try `tabseg sites`\n" site_name;
@@ -426,128 +501,9 @@ let auto_cmd =
           Tabseg_navigator.Crawler.max_attempts = max 1 retries;
         }
       in
-      let use_service =
-        procs > 1 || show_metrics || metrics_json <> None || store_dir <> None
-      in
-      let report, metrics_dump, metrics_json_payload =
-        if not use_service then
-          (Tabseg_navigator.Auto.run_resilient ~retry ~method_ source, None,
-           None)
-        else if procs > 1 then begin
-          (* Multi-process: the gateway forks the workers and shards
-             the request stream across them by site affinity. *)
-          let open Tabseg_serve in
-          let open Tabseg_gateway in
-          let config =
-            {
-              Gateway.default_config with
-              Gateway.procs;
-              deadline_s = deadline;
-              spill_threshold;
-              site_quota_rps = site_quota;
-              shed;
-              service =
-                {
-                  Service.default_config with
-                  Service.method_;
-                  cache =
-                    (if cache_mb > 0 then
-                       Some
-                         { Cache.default_config with
-                           Cache.capacity_mb = cache_mb }
-                     else None);
-                  store_dir;
-                };
-            }
-          in
-          let gateway = Gateway.create ~config () in
-          Gateway.install_sigterm gateway;
-          Fun.protect ~finally:(fun () -> Gateway.shutdown gateway)
-          @@ fun () ->
-          let segment_batch batch =
-            let requests =
-              List.map
-                (fun (url, input) -> { Service.id = url; site = url; input })
-                batch
-            in
-            List.map
-              (fun response ->
-                match Gateway.result response with
-                | Ok result -> Ok result
-                | Error (Gateway.Service_error (Service.Invalid_input error))
-                  ->
-                  Error error
-                | Error error ->
-                  Error
-                    (Tabseg.Api.Pipeline_failure (Gateway.error_message error)))
-              (Gateway.run_batch gateway requests)
-          in
-          let report =
-            Tabseg_navigator.Auto.run_resilient ~retry ~method_
-              ~segment_batch source
-          in
-          let dump =
-            if show_metrics then
-              Some (Metrics.report (Gateway.metrics gateway))
-            else None
-          in
-          let json =
-            if metrics_json <> None then
-              Some (Metrics.to_json (Gateway.metrics gateway))
-            else None
-          in
-          (report, dump, json)
-        end
-        else begin
-          let open Tabseg_serve in
-          let config =
-            {
-              Service.default_config with
-              Service.method_;
-              cache =
-                (if cache_mb > 0 then
-                   Some { Cache.default_config with Cache.capacity_mb = cache_mb }
-                 else None);
-              store_dir;
-            }
-          in
-          let service = Service.create ~config () in
-          Fun.protect ~finally:(fun () -> Service.shutdown service)
-          @@ fun () ->
-          let segment_batch batch =
-            let requests =
-              List.map
-                (fun (url, input) -> { Service.id = url; site = url; input })
-                batch
-            in
-            List.map
-              (fun (response : Service.response) ->
-                match response.Service.outcome with
-                | Ok result -> Ok result
-                | Error (Service.Invalid_input error) -> Error error
-                | Error error ->
-                  Error
-                    (Tabseg.Api.Pipeline_failure (Service.error_message error)))
-              (Service.run_batch service requests)
-          in
-          let report =
-            Tabseg_navigator.Auto.run_resilient ~retry ~method_
-              ~segment_batch source
-          in
-          let dump =
-            if show_metrics then
-              Some
-                (Metrics.report (Service.metrics service)
-                ^ cache_stats_dump service)
-            else None
-          in
-          let json =
-            if metrics_json <> None then
-              Some (Metrics.to_json (Service.metrics service))
-            else None
-          in
-          (report, dump, json)
-        end
+      let report, metrics_dump, json =
+        with_segmenter config (fun segment_batch ->
+            Tabseg_navigator.Auto.run_resilient ~retry ~segment_batch source)
       in
       Format.printf
         "crawled %d pages: %d list, %d detail, %d other@."
@@ -578,26 +534,23 @@ let auto_cmd =
         Format.printf "@.crawl report:@.%a@."
           Tabseg_navigator.Crawler.pp_report
           report.Tabseg_navigator.Auto.crawl;
-      (match metrics_dump with
-      | Some dump -> Format.printf "@.metrics:@.%s@?" dump
-      | None -> ());
-      match (metrics_json, metrics_json_payload) with
-      | Some "-", Some json -> print_endline json
-      | Some path, Some json ->
+      if show_metrics then Format.printf "@.metrics:@.%s@?" metrics_dump;
+      match metrics_json with
+      | Some "-" -> print_endline json
+      | Some path ->
         write_file path json;
         Printf.printf "wrote metrics to %s\n" path
-      | _, _ -> ()
+      | None -> ()
   in
   Cmd.v
     (Cmd.info "auto"
        ~doc:"Navigate a simulated site from its entry page and segment \
-             every list page found, optionally through injected faults \
-             and in parallel through the serving layer")
+             every list page found through the serving layer, optionally \
+             through injected faults and in parallel")
     Term.(
-      const run $ method_arg $ site_arg $ faults_arg $ fault_seed_arg
-      $ permanent_arg $ retries_arg $ report_arg $ procs_arg
-      $ cache_mb_arg $ metrics_arg $ metrics_json_arg $ store_arg
-      $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
+      const run $ site_arg $ faults_arg $ fault_seed_arg $ permanent_arg
+      $ retries_arg $ report_arg $ metrics_arg $ metrics_json_arg
+      $ gateway_term ~procs:1)
 
 (* ------------------------------- serve ----------------------------- *)
 
@@ -611,29 +564,6 @@ let address_conv =
     Format.pp_print_string ppf (Tabseg_daemon.Protocol.address_to_string a)
   in
   Arg.conv ~docv:"ADDR" (parse, print)
-
-let gateway_config ~method_ ~procs ~cache_mb ~store_dir ~spill_threshold
-    ~site_quota ~shed ~deadline =
-  let open Tabseg_serve in
-  let open Tabseg_gateway in
-  {
-    Gateway.default_config with
-    Gateway.procs = max 1 procs;
-    deadline_s = deadline;
-    spill_threshold;
-    site_quota_rps = site_quota;
-    shed;
-    service =
-      {
-        Service.default_config with
-        Service.method_;
-        cache =
-          (if cache_mb > 0 then
-             Some { Cache.default_config with Cache.capacity_mb = cache_mb }
-           else None);
-        store_dir;
-      };
-  }
 
 let serve_cmd =
   let open Tabseg_daemon in
@@ -692,65 +622,17 @@ let serve_cmd =
       & opt float Daemon.default_config.Daemon.drain_grace_s
       & info [ "drain-grace" ] ~doc ~docv:"SECONDS")
   in
-  let procs_arg =
-    let doc =
-      "Worker processes behind the gateway; the daemon's own loop never \
-       segments."
-    in
-    Arg.(value & opt int 2 & info [ "procs" ] ~doc ~docv:"N")
-  in
-  let cache_mb_arg =
-    let doc =
-      "Cache budget (MB) per worker. It also bounds the gateway's body \
-       memo, which answers a repeated input without a worker. 0 turns \
-       both off."
-    in
-    Arg.(value & opt int 64 & info [ "cache-mb" ] ~doc ~docv:"MB")
-  in
-  let store_arg =
-    let doc = "Persistent store directory shared by the workers." in
-    Arg.(value & opt (some string) None & info [ "store" ] ~doc ~docv:"DIR")
-  in
-  let spill_arg =
-    let doc = "Adaptive affinity spill threshold (see $(b,tabseg auto))." in
-    Arg.(
-      value & opt (some int) None & info [ "spill-threshold" ] ~doc ~docv:"N")
-  in
-  let quota_arg =
-    let doc =
-      "Per-site admission quota (requests/second). Excess requests are \
-       refused with a typed quota error carrying a retry-after hint — \
-       which $(b,tabseg loadgen --retry) honours."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "site-quota" ] ~doc ~docv:"RPS")
-  in
-  let shed_arg =
-    let doc = "Deadline-aware admission shedding (needs --deadline)." in
-    Arg.(value & flag & info [ "shed" ] ~doc)
-  in
-  let deadline_arg =
-    let doc = "Per-request deadline at the gateway, in seconds." in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~doc ~docv:"SECONDS")
-  in
-  let run method_ listen auth_token idle_timeout max_conn_inflight
-      max_connections drain_grace procs cache_mb store_dir spill_threshold
-      site_quota shed deadline =
+  let run listen auth_token idle_timeout max_conn_inflight max_connections
+      drain_grace gateway =
     let config =
       {
         Daemon.listen;
         auth_token;
         idle_timeout_s = idle_timeout;
-        handshake_timeout_s = Daemon.default_config.Daemon.handshake_timeout_s;
         max_conn_inflight;
         max_connections;
         drain_grace_s = drain_grace;
-        gateway =
-          gateway_config ~method_ ~procs ~cache_mb ~store_dir
-            ~spill_threshold ~site_quota ~shed ~deadline;
+        gateway;
       }
     in
     match Daemon.create ~config () with
@@ -762,7 +644,7 @@ let serve_cmd =
     | t ->
       Printf.printf "tabseg daemon listening on %s (pid %d, %d proc(s))\n"
         (Tabseg_daemon.Protocol.address_to_string (Daemon.bound_address t))
-        (Unix.getpid ()) (max 1 procs);
+        (Unix.getpid ()) gateway.Tabseg_gateway.Gateway.procs;
       (match config.Daemon.auth_token with
       | Some _ -> print_endline "authentication required"
       | None -> ());
@@ -776,9 +658,8 @@ let serve_cmd =
        ~doc:"Run the segmentation daemon: a TCP or Unix-domain-socket \
              front door over the multi-process gateway")
     Term.(
-      const run $ method_arg $ listen_arg $ auth_arg $ idle_arg $ inflight_arg
-      $ max_conns_arg $ drain_grace_arg $ procs_arg $ cache_mb_arg
-      $ store_arg $ spill_arg $ quota_arg $ shed_arg $ deadline_arg)
+      const run $ listen_arg $ auth_arg $ idle_arg $ inflight_arg
+      $ max_conns_arg $ drain_grace_arg $ gateway_term ~procs:2)
 
 (* ------------------------------ corpus ------------------------------ *)
 

@@ -23,18 +23,33 @@ let subscribe listener =
 
 let unsubscribe id = update (List.remove_assoc id)
 
+(* Every subscriber sees the event, whichever of them raises; the first
+   exception raised, if any, is re-raised once they all ran. *)
 let emit stage seconds =
+  let event = { stage; seconds } in
+  let first = ref None in
   List.iter
-    (fun (_, listener) -> listener { stage; seconds })
-    (Atomic.get subscribers)
+    (fun (_, listener) ->
+      try listener event
+      with e ->
+        if !first = None then first := Some (e, Printexc.get_raw_backtrace ()))
+    (Atomic.get subscribers);
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !first
 
+(* The event goes out after the stage returned or raised. A raising
+   stage keeps its own exception; otherwise a subscriber's propagates. *)
 let time ~stage f =
   if Atomic.get subscribers = [] then f ()
   else begin
     let started = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () -> emit stage (Unix.gettimeofday () -. started))
-      f
+    match f () with
+    | value ->
+      emit stage (Unix.gettimeofday () -. started);
+      value
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try emit stage (Unix.gettimeofday () -. started) with _ -> ());
+      Printexc.raise_with_backtrace e bt
   end
 
 let stages =

@@ -26,8 +26,11 @@ val unsubscribe : subscription -> unit
 
 val time : stage:string -> (unit -> 'a) -> 'a
 (** [time ~stage f] runs [f ()]; if any subscriber is registered, the
-    wall-clock duration is reported under [stage] (also when [f]
-    raises). Without subscribers, [f] is called directly. *)
+    wall-clock duration is reported under [stage] once [f] returned or
+    raised. Every subscriber sees the event, even when one of them
+    raises. When [f] raised, its exception propagates; otherwise the
+    first exception a subscriber raised does. Without subscribers, [f]
+    is called directly. *)
 
 val stages : string list
 (** The stage names emitted by the library itself, for discovery. *)

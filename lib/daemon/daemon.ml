@@ -8,7 +8,6 @@ type config = {
   listen : Protocol.address;
   auth_token : string option;
   idle_timeout_s : float option;
-  handshake_timeout_s : float;
   max_conn_inflight : int;
   max_connections : int;
   drain_grace_s : float;
@@ -20,7 +19,6 @@ let default_config =
     listen = Protocol.Unix_socket "tabseg.sock";
     auth_token = None;
     idle_timeout_s = None;
-    handshake_timeout_s = 5.0;
     max_conn_inflight = 32;
     max_connections = 64;
     drain_grace_s = 10.0;
@@ -72,6 +70,10 @@ type t = {
 }
 
 let now () = Unix.gettimeofday ()
+
+(* A connection must complete its Hello within this many seconds, so
+   half-open sockets cannot pin accept slots. *)
+let handshake_timeout_s = 5.0
 
 (* Token comparison without an early exit: the time depends only on the
    two lengths (both capped by the Hello size gate), never on how long a
@@ -423,7 +425,7 @@ let select_timeout t at =
   List.iter
     (fun conn ->
       match conn.k_state with
-      | `Handshaking -> note (conn.k_opened +. t.cfg.handshake_timeout_s)
+      | `Handshaking -> note (conn.k_opened +. handshake_timeout_s)
       | `Active -> (
         match t.cfg.idle_timeout_s with
         | Some idle
@@ -440,7 +442,7 @@ let expire_timers t at =
       if not conn.k_closed then
         match conn.k_state with
         | `Handshaking ->
-          if at -. conn.k_opened > t.cfg.handshake_timeout_s then begin
+          if at -. conn.k_opened > handshake_timeout_s then begin
             Metrics.incr t.m_rejected;
             close_conn t conn
           end

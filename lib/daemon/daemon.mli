@@ -10,9 +10,9 @@
     nonblocking {!Tabseg_gateway.Gateway.pump} every turn.
 
     Connection lifecycle: nonblocking accept → {!Protocol.Hello}
-    handshake (frame version gate + optional shared auth token, under
-    [handshake_timeout_s]) → pipelined {!Protocol.Submit}s → idle
-    timeout or {!Protocol.Goodbye} → close.
+    handshake (frame version gate + optional shared auth token, within
+    5 s, so half-open sockets cannot pin accept slots) → pipelined
+    {!Protocol.Submit}s → idle timeout or {!Protocol.Goodbye} → close.
 
     Ordering and limits: replies to one connection come back in strict
     submission order — a refusal decided instantly still queues behind
@@ -40,9 +40,6 @@ type config = {
   idle_timeout_s : float option;
       (** close a connection this long without inbound bytes and with
           nothing outstanding; [None]: never *)
-  handshake_timeout_s : float;
-      (** a connection must complete its [Hello] within this (default
-          5 s) — half-open sockets cannot pin accept slots *)
   max_conn_inflight : int;  (** pipelining window per connection (default 32) *)
   max_connections : int;
       (** accept cap; above it new handshakes are [Rejected] with

@@ -8,7 +8,6 @@ type config = {
   procs : int;
   service : Service.config;
   deadline_s : float option;
-  max_inflight : int option;
   max_restarts : int;
   backoff_s : float;
   backoff_cap_s : float;
@@ -23,7 +22,6 @@ let default_config =
     procs = 1;
     service = Service.default_config;
     deadline_s = None;
-    max_inflight = None;
     max_restarts = 5;
     backoff_s = 0.05;
     backoff_cap_s = 2.0;
@@ -108,17 +106,31 @@ type slot = {
   mutable s_reply_mark : float;  (* start of the current service interval *)
 }
 
+(* Where a request's answer comes from: the frame it was sent in to a
+   slot's worker, or the frame of an earlier request carrying the same
+   input, which it joined. *)
+type route =
+  | Slot of int
+  | Joined
+
 type pending = {
   p_seq : int;
   p_request : Service.request;
-  p_slot : int;
+  p_route : route;
   p_deadline : float option;  (* absolute *)
   p_submitted : float;
   p_on_complete : response -> unit;
-  p_key : string option;  (* its memo key; [None] without a memo *)
   mutable p_dispatched : float option;  (* when its frame hit the socket *)
   mutable p_redispatched : bool;
   mutable p_outcome : response option;
+}
+
+(* A frame whose input has a memo key, from its submission until its
+   answer arrives (on time or late) or no worker will answer it: the
+   key its answer is remembered under, and the requests joined to it. *)
+type frame = {
+  f_key : string;
+  mutable f_copies : pending list;  (* newest first *)
 }
 
 (* Per-site admission token bucket ([site_quota_rps]). [b_next_hint] is
@@ -158,7 +170,6 @@ type t = {
   mutable fork_hook : unit -> Unix.file_descr list;
   mutable next_seq : int;
   mutable next_token : int;  (* ping tokens *)
-  pongs : (int, unit) Hashtbl.t;
   mutable zombies : int list;  (* dead pids not yet reaped *)
   (* The bodies of answered requests, under the workers' own
      request key: a request whose input an earlier one carried is
@@ -166,6 +177,11 @@ type t = {
      bytes within the workers' cache budget; [None] when the workers
      run without a cache. *)
   memo : Codec.body Shard.t option;
+  (* With a memo: seq -> each keyed frame, and memo key -> the seq of
+     the frame carrying that input, so a request for an input already
+     in flight joins that frame instead of sending its own. *)
+  frames : (int, frame) Hashtbl.t;
+  joinable : (string, int) Hashtbl.t;
   quota : (string, bucket) Hashtbl.t;
   mutable g_draining : bool;
   mutable shut : bool;
@@ -238,11 +254,7 @@ let fork_worker t index =
 let create ?(config = default_config) () =
   let procs = max config.procs 1 in
   let registry = Metrics.create () in
-  let capacity =
-    match config.max_inflight with
-    | Some c -> max c 1
-    | None -> 128 * procs
-  in
+  let capacity = 128 * procs in
   (* A worker death must come back from [write] as EPIPE, never as a
      process-killing signal. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -267,7 +279,6 @@ let create ?(config = default_config) () =
       fork_hook = (fun () -> []);
       next_seq = 0;
       next_token = 0;
-      pongs = Hashtbl.create 8;
       zombies = [];
       memo =
         Option.map
@@ -277,6 +288,8 @@ let create ?(config = default_config) () =
               ~cost:(fun (body : Codec.body) -> String.length (body :> string))
               ())
           config.service.Service.cache;
+      frames = Hashtbl.create 64;
+      joinable = Hashtbl.create 64;
       quota = Hashtbl.create 16;
       g_draining = false;
       shut = false;
@@ -493,13 +506,28 @@ let count_outcome t = function
     | Shed _ -> Metrics.incr t.m_shed
     | Draining | Service_error _ -> ())
 
+(* A joined request, like a memo hit, leaves the turnaround histogram
+   alone, since it seeds the shedding model of a worker's service time;
+   answered [Ok], it counts as a memo hit. *)
 let resolve t pending response =
   if pending.p_outcome = None then begin
     pending.p_outcome <- Some response;
-    Metrics.observe t.m_turnaround_s (now () -. pending.p_submitted);
+    (match (pending.p_route, response.outcome) with
+    | Slot _, _ ->
+      Metrics.observe t.m_turnaround_s (now () -. pending.p_submitted)
+    | Joined, Ok _ -> Metrics.incr t.m_memo_hits
+    | Joined, Error _ -> ());
     count_outcome t response.outcome;
     Queue.push pending t.resolved
   end
+
+let failure (pending : pending) error =
+  {
+    id = pending.p_request.Service.id;
+    outcome = Error error;
+    cache_hit = false;
+    latency_s = 0.;
+  }
 
 (* Run completion callbacks for everything [resolve] queued. Only
    called at event-loop safe points (never while iterating [pending]);
@@ -542,6 +570,28 @@ let memo_key t (request : Service.request) =
           request.Service.input ))
     t.memo
 
+let open_frame t seq key =
+  Hashtbl.replace t.frames seq { f_key = key; f_copies = [] };
+  Hashtbl.replace t.joinable key seq
+
+(* The frame [seq] is done with: answered, or lost. *)
+let close_frame t seq =
+  match Hashtbl.find_opt t.frames seq with
+  | None -> None
+  | Some frame ->
+    Hashtbl.remove t.frames seq;
+    Hashtbl.remove t.joinable frame.f_key;
+    Some frame
+
+(* No worker will answer the frame [seq]: its copies are lost with it. *)
+let frame_lost t seq reason =
+  Option.iter
+    (fun frame ->
+      List.iter
+        (fun copy -> resolve t copy (failure copy (Worker_lost reason)))
+        (List.rev frame.f_copies))
+    (close_frame t seq)
+
 (* A request answered from the memo, as a refusal is answered: inside
    [submit]. The turnaround histogram is left alone, since it seeds the
    shedding model of a worker's service time. *)
@@ -556,14 +606,26 @@ let memo_answer t (request : Service.request) ~started body =
     latency_s = now () -. started;
   }
 
-(* A keyed request's Ok reply: its body answers the next request that
-   carries the same input. *)
-let remember t pending response =
-  match (t.memo, pending.p_key, response.outcome) with
-  | Some memo, Some key, Ok body ->
-    Shard.store memo key body;
-    Metrics.set t.g_memo_bytes (float_of_int (Shard.stats memo).Shard.cost)
-  | _ -> ()
+(* The answer to a keyed frame, on time or late: an [Ok] body answers
+   the next request that carries the same input, and every copy joined
+   to the frame gets the answer, under its own id. *)
+let answer_frame t seq response =
+  Option.iter
+    (fun frame ->
+      (match (t.memo, response.outcome) with
+      | Some memo, Ok body ->
+        Shard.store memo frame.f_key body;
+        Metrics.set t.g_memo_bytes
+          (float_of_int (Shard.stats memo).Shard.cost)
+      | _ -> ());
+      List.iter
+        (fun copy ->
+          resolve t copy
+            { response with
+              id = copy.p_request.Service.id;
+              cache_hit = Result.is_ok response.outcome })
+        (List.rev frame.f_copies))
+    (close_frame t seq)
 
 (* --------------------------- the event loop ------------------------- *)
 
@@ -572,24 +634,26 @@ let enqueue_frame conn frame seq =
   | Some seq -> Conn.send ~tag:seq conn.c_chan frame
   | None -> Conn.send conn.c_chan frame
 
-(* Commit [pending]'s frame to the live worker of its slot. *)
-let dispatch t conn pending =
+(* Commit [pending]'s frame to [index]'s live worker. *)
+let dispatch t index conn pending =
   let seq = pending.p_seq and request = pending.p_request in
   enqueue_frame conn (Wire.encode (Wire.Request { seq; request })) (Some seq);
-  track_dispatch t pending.p_slot seq
+  track_dispatch t index seq
 
 (* Push the (re)dispatchable frames of every unresolved pending request
    assigned to a now-live slot. Called right after a fork. *)
 let dispatch_pending_to t index conn =
   Hashtbl.iter
     (fun _ pending ->
-      if pending.p_slot = index && pending.p_outcome = None then
-        dispatch t conn pending)
+      if pending.p_route = Slot index && pending.p_outcome = None then
+        dispatch t index conn pending)
     t.pending
 
 (* A worker's socket went dead: close it, account the death, schedule a
    restart (or fail the slot), and decide the fate of its in-flight
-   requests — re-dispatch each at most once. *)
+   requests — re-dispatch each at most once. A frame it held that will
+   not be sent again (its request lost, or already resolved) takes the
+   copies joined to it down with it. *)
 let worker_dead t slot conn reason =
   close_quietly (Conn.fd conn.c_chan);
   t.zombies <- conn.c_pid :: t.zombies;
@@ -616,21 +680,21 @@ let worker_dead t slot conn reason =
   else slot.s_state <- Failed;
   Hashtbl.iter
     (fun _ pending ->
-      if pending.p_slot = slot.s_index && pending.p_outcome = None then
+      if pending.p_route = Slot slot.s_index && pending.p_outcome = None then
         if pending.p_redispatched || not can_restart then
-          resolve t pending
-            {
-              id = pending.p_request.Service.id;
-              outcome = Error (Worker_lost reason);
-              cache_hit = false;
-              latency_s = 0.;
-            }
+          resolve t pending (failure pending (Worker_lost reason))
         else begin
           pending.p_redispatched <- true;
           pending.p_dispatched <- None;
           Metrics.incr t.m_redispatches
         end)
-    t.pending
+    t.pending;
+  List.iter
+    (fun seq ->
+      match Hashtbl.find_opt t.pending seq with
+      | Some { p_outcome = None; _ } -> () (* re-dispatched at the restart *)
+      | Some _ | None -> frame_lost t seq reason)
+    held
 
 let reap t =
   t.zombies <-
@@ -644,23 +708,18 @@ let reap t =
 
 let handle_message t conn = function
   | Wire.Hello { role; _ } -> conn.c_role <- Some role
-  | Wire.Pong token -> (
-    match conn.c_ping with
-    | Some (expected, _) when expected = token ->
-      (* A heartbeat answer, not a health probe's: just clear it. *)
-      conn.c_ping <- None
-    | _ -> Hashtbl.replace t.pongs token ())
+  | Wire.Pong token ->
+    if Option.map fst conn.c_ping = Some token then conn.c_ping <- None
   | Wire.Response { seq; reply } -> (
     untrack_dispatch t seq;
-    match Hashtbl.find_opt t.pending seq with
-    | Some pending when pending.p_outcome = None ->
-      let response = of_service_reply reply in
-      remember t pending response;
-      resolve t pending response
+    let response = of_service_reply reply in
+    (match Hashtbl.find_opt t.pending seq with
+    | Some pending when pending.p_outcome = None -> resolve t pending response
     | Some _ | None ->
       (* Deadline already resolved it, or it belongs to a previous
          batch: late, counted, dropped. *)
-      Metrics.incr t.m_late)
+      Metrics.incr t.m_late);
+    answer_frame t seq response)
   | Wire.Request _ | Wire.Ping _ | Wire.Shutdown ->
     (* Workers never send these; ignore rather than kill. *)
     ()
@@ -750,18 +809,16 @@ let heartbeat t =
         | Restarting _ | Failed -> ())
       t.slots
 
+(* A request that expires before its frame reached a worker (its slot
+   restarting) will not be sent: the copies joined to it are lost. *)
 let expire_deadlines t =
   Hashtbl.iter
-    (fun _ pending ->
+    (fun seq pending ->
       match (pending.p_outcome, pending.p_deadline) with
       | None, Some deadline when deadline <= now () ->
-        resolve t pending
-          {
-            id = pending.p_request.Service.id;
-            outcome = Error Deadline_exceeded;
-            cache_hit = false;
-            latency_s = 0.;
-          }
+        resolve t pending (failure pending Deadline_exceeded);
+        if pending.p_route <> Joined && not (Hashtbl.mem t.dispatched seq)
+        then frame_lost t seq "its request expired before reaching a worker"
       | _ -> ())
     t.pending
 
@@ -836,19 +893,41 @@ let step ?(max_wait_s = infinity) t =
 
 (* --------------------------- the public API ------------------------- *)
 
+(* A new pending request under a fresh seq, counted. *)
+let admit t ~on_complete (request : Service.request) route =
+  Metrics.incr t.m_total;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let pending =
+    {
+      p_seq = seq;
+      p_request = request;
+      p_route = route;
+      p_deadline = Option.map (fun d -> now () +. d) t.cfg.deadline_s;
+      p_submitted = now ();
+      p_on_complete = on_complete;
+      p_dispatched = None;
+      p_redispatched = false;
+      p_outcome = None;
+    }
+  in
+  Hashtbl.replace t.pending seq pending;
+  pending
+
 (* Admit one request through the degradation ladder and hand it to the
    fleet; [on_complete] fires exactly once with its response. Refusals
    (draining, the global inflight cap, the per-site quota, shedding)
-   call back synchronously from inside [submit]; admitted work calls
-   back from a later [pump]/[run_batch] event-loop turn. This is the
-   seam the network daemon drives: it never wants a batch barrier, just
-   a stream of completions it can order per client connection. *)
+   and memo hits call back synchronously from inside [submit]; admitted
+   work, joined copies included, calls back from a later
+   [pump]/[run_batch] event-loop turn. This is the seam the network
+   daemon drives: it never wants a batch barrier, just a stream of
+   completions it can order per client connection. *)
 let submit t ~on_complete (request : Service.request) =
   if t.g_draining || t.shut then on_complete (refusal t request Draining)
   (* The ladder runs in order: the global inflight cap, the per-site
-     quota, the memo, spill-aware placement, then the deadline-
-     feasibility check against the chosen worker's backlog. Only a
-     request that clears all five becomes a pending. *)
+     quota, the memo, a frame in flight with the same input, spill-aware
+     placement, then the deadline-feasibility check against the chosen
+     worker's backlog. *)
   else if Hashtbl.length t.pending >= t.capacity then
     on_complete
       (refusal t request
@@ -860,43 +939,35 @@ let submit t ~on_complete (request : Service.request) =
     | Ok () -> (
       let started = now () in
       let memo = memo_key t request in
+      let key = Option.map snd memo in
       match Option.bind memo (fun (memo, key) -> Shard.find memo key) with
       | Some body -> on_complete (memo_answer t request ~started body)
       | None -> (
-        let slot_index, spilled = choose_slot t request.Service.site in
-        match shed_check t slot_index with
-        | Error error -> on_complete (refusal t request error)
-        | Ok () -> (
-          if spilled then Metrics.incr t.m_spilled;
-          Metrics.incr t.m_total;
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          let pending =
-            {
-              p_seq = seq;
-              p_request = request;
-              p_slot = slot_index;
-              p_deadline = Option.map (fun d -> now () +. d) t.cfg.deadline_s;
-              p_submitted = now ();
-              p_on_complete = on_complete;
-              p_key = Option.map snd memo;
-              p_dispatched = None;
-              p_redispatched = false;
-              p_outcome = None;
-            }
-          in
-          Hashtbl.replace t.pending seq pending;
-          match t.slots.(pending.p_slot).s_state with
-          | Live conn -> dispatch t conn pending
-          | Restarting _ -> () (* dispatched when the fork lands *)
-          | Failed ->
-            resolve t pending
-              {
-                id = request.Service.id;
-                outcome = Error (Worker_lost "worker slot permanently failed");
-                cache_hit = false;
-                latency_s = 0.;
-              })))
+        match Option.bind key (Hashtbl.find_opt t.joinable) with
+        | Some seq ->
+          (* no frame, no placement, no shed check: the copy is answered
+             with the frame it joins *)
+          let copy = admit t ~on_complete request Joined in
+          let frame = Hashtbl.find t.frames seq in
+          frame.f_copies <- copy :: frame.f_copies
+        | None -> (
+          let slot_index, spilled = choose_slot t request.Service.site in
+          match shed_check t slot_index with
+          | Error error -> on_complete (refusal t request error)
+          | Ok () -> (
+            if spilled then Metrics.incr t.m_spilled;
+            let pending = admit t ~on_complete request (Slot slot_index) in
+            match t.slots.(slot_index).s_state with
+            | Live conn ->
+              Option.iter (open_frame t pending.p_seq) key;
+              dispatch t slot_index conn pending
+            | Restarting _ ->
+              (* dispatched when the fork lands *)
+              Option.iter (open_frame t pending.p_seq) key
+            | Failed ->
+              resolve t pending
+                (failure pending
+                   (Worker_lost "worker slot permanently failed"))))))
 
 let inflight t = Hashtbl.length t.pending
 let set_fork_hook t hook = t.fork_hook <- hook
@@ -927,31 +998,6 @@ let run_batch t requests =
   done;
   Array.to_list responses
   |> List.map (function Some r -> r | None -> assert false)
-
-let health t =
-  let targets =
-    Array.to_list t.slots
-    |> List.filter_map (fun slot ->
-           match slot.s_state with
-           | Live conn ->
-             let token = t.next_token in
-             t.next_token <- token + 1;
-             enqueue_frame conn (Wire.encode (Wire.Ping token)) None;
-             Some (conn.c_pid, token)
-           | _ -> None)
-  in
-  let deadline = now () +. 0.5 in
-  let all_ponged () =
-    List.for_all (fun (_, token) -> Hashtbl.mem t.pongs token) targets
-  in
-  while (not (all_ponged ())) && now () < deadline do
-    step t
-  done;
-  let report =
-    List.map (fun (pid, token) -> (pid, Hashtbl.mem t.pongs token)) targets
-  in
-  List.iter (fun (_, token) -> Hashtbl.remove t.pongs token) targets;
-  report
 
 let install_sigterm t =
   Sys.set_signal Sys.sigterm

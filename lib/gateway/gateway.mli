@@ -20,11 +20,19 @@
     one home. [procs <= 1] forks one worker.
 
     Memo: when the workers cache ([service.cache]), the master keeps the
-    body of each [Ok] answer under the workers' own request key
-    ({!Tabseg_serve.Cache.request_key}), in an LRU bounded by the same
-    [capacity_mb] in body bytes. A later request whose input an earlier
-    one carried is answered inside {!submit}, with that body and
-    [cache_hit = true], and no worker sees it.
+    body of each [Ok] answer, on time or late, under the workers' own
+    request key ({!Tabseg_serve.Cache.request_key}), in an LRU bounded
+    by the same [capacity_mb] in body bytes. It is the deployment's one
+    in-memory memo of results; the workers keep theirs only in the
+    store. A later request whose input an earlier one carried is
+    answered inside {!submit}, with that body and [cache_hit = true],
+    and no worker sees it. A request whose input is still in flight
+    {e joins} that frame: it gets no frame, placement or shed check of
+    its own, keeps its own id and deadline, counts in [inflight], and
+    is answered with the frame's answer (its outcome, [cache_hit =
+    true] when [Ok], counted in [gateway.memo_hits]), on time or late.
+    When no worker will answer the frame, the copy resolves
+    [Worker_lost].
 
     Supervision: the master detects a dead worker by its socket (EOF /
     EPIPE — a single-threaded worker grinding through a long request
@@ -42,11 +50,9 @@ type config = {
       (** the configuration of the service each worker hosts *)
   deadline_s : float option;
       (** per-request deadline, measured from submission at the master;
-          an expired request resolves [Deadline_exceeded] and a late
-          reply is discarded (counted as [gateway.late_responses]) *)
-  max_inflight : int option;
-      (** cap on requests dispatched at once; the excess of a batch is
-          refused with [Gateway_overloaded]. [None]: [128 * procs]. *)
+          an expired request resolves [Deadline_exceeded]; a late reply
+          is counted as [gateway.late_responses] and still fills the
+          memo and answers the requests joined to it *)
   max_restarts : int;  (** restart budget per worker slot (default 5) *)
   backoff_s : float;  (** initial restart backoff (default 0.05) *)
   backoff_cap_s : float;  (** backoff ceiling (default 2.0) *)
@@ -85,8 +91,8 @@ type error =
       (** the worker died and the request could not be re-dispatched
           (already re-dispatched once, or the slot exhausted restarts) *)
   | Gateway_overloaded of { inflight : int; capacity : int }
-      (** refused at submission: dispatching this request would have
-          exceeded [max_inflight] *)
+      (** refused at submission: [capacity] requests ([128 * procs])
+          were already in flight *)
   | Quota_exceeded of { site : string; retry_after_s : float }
       (** refused at submission: the site's token bucket is empty;
           [retry_after_s] is when one token will have refilled *)
@@ -105,8 +111,9 @@ type 'a answer = {
   outcome : ('a, error) result;
   cache_hit : bool;
   latency_s : float;
-      (** worker-side service latency; for a master memo hit, the
-          master's key and lookup time; 0 for gateway-level errors *)
+      (** worker-side service latency (a joined copy carries its
+          frame's); for a master memo hit, the master's key and lookup
+          time; 0 for gateway-level errors *)
 }
 
 type response = Tabseg_store.Codec.body answer
@@ -132,8 +139,8 @@ val metrics : t -> Tabseg_serve.Metrics.t
     [redispatches], [worker_restarts], [worker_lost], [late_responses],
     [overloaded], [memo_hits], …), the [gateway.memo_bytes] gauge (the
     body bytes the memo holds) and the [gateway.dispatch_seconds] /
-    [gateway.turnaround_seconds] histograms (a memo hit observes
-    neither). *)
+    [gateway.turnaround_seconds] histograms (a memo hit or a joined
+    copy observes neither). *)
 
 val worker_pids : t -> (int * int) list
 (** [(slot, pid)] per live worker, in slot order: a slot whose worker is
@@ -166,10 +173,12 @@ val submit :
   Tabseg_serve.Service.request ->
   unit
 (** Admit one request through the degradation ladder (inflight cap,
-    per-site quota, the memo, spill placement, shed check) and dispatch
-    it. [on_complete] fires exactly once: synchronously from inside
-    [submit] for refusals and memo hits, from a later
-    {!pump}/{!run_batch} turn for dispatched work. Callbacks must not block; they may call [submit] again. *)
+    per-site quota, the memo, a frame in flight with the same input,
+    spill placement, shed check) and dispatch it. [on_complete] fires
+    exactly once: synchronously from inside [submit] for refusals and
+    memo hits, from a later {!pump}/{!run_batch} turn for dispatched
+    work and joined copies. Callbacks must not block; they may call
+    [submit] again. *)
 
 val pump : ?max_wait_s:float -> t -> unit
 (** One turn of the master event loop: fire timers, move socket bytes,
@@ -203,11 +212,6 @@ val run_batch :
     resolved (responded, expired, refused or lost). Responses are in
     request order. Implemented as [submit] per request + {!pump} to
     completion. *)
-
-val health : t -> (int * bool) list
-(** Ping every live worker and report [(pid, responded within the
-    timeout)]. A worker busy on a long request reports [false] without
-    being killed — only its socket decides life and death. *)
 
 val install_sigterm : t -> unit
 (** Route SIGTERM to a drain: the flag flips immediately, the in-flight

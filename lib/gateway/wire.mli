@@ -41,9 +41,9 @@ type message =
           on a pid from {!Gateway.worker_pids}) and model service time
           with {!Tabseg_serve.Service.config.simulated_fetch_s}. *)
   | Response of { seq : int; reply : Tabseg_serve.Service.reply }
-      (** the answer with its result as the encoded body: a memo hit's
-          body is the one its cache entry keeps, and the master forwards
-          it without decoding *)
+      (** the answer with its result as the encoded body: a store hit's
+          body is the one its blob holds, and the master forwards it
+          without decoding *)
   | Ping of int
   | Pong of int
       (** echoes the ping's token. A worker reads a Ping only between

@@ -3,16 +3,14 @@ module Store = Tabseg_store.Store
 module Codec = Tabseg_store.Codec
 module Lockcheck = Tabseg_lockcheck.Lockcheck
 
-type config = {
-  capacity_mb : int;
-  shards : int;
-}
+type config = { capacity_mb : int }
 
-let default_config = { capacity_mb = 64; shards = 8 }
+let default_config = { capacity_mb = 64 }
 
-(* The persistent (L2) tier: a shared on-disk store behind both in-memory
-   LRUs, plus the counters it feeds. Key namespaces keep templates and
-   results apart in the one key space ("T:" / "R:" + content digest). *)
+(* The persistent (L2) tier: a shared on-disk store behind the template
+   LRU and the only home of results, plus the counters it feeds. Key
+   namespaces keep templates and results apart in the one key space
+   ("T:" / "R:" + content digest). *)
 type persist = {
   store : Store.t;
   p_template_hits : int Atomic.t;
@@ -33,41 +31,15 @@ and persist_counters = {
   c_hydration : Metrics.histogram;
 }
 
-(* A memoized result and, once it has been asked for or came with the
-   store's blob, its body. Entries are immutable: a body encoded later
-   is stored back in a new entry, so its bytes count against the
-   budget. *)
-type entry = {
-  result : Tabseg.Api.result;
-  body : Codec.body option;
-}
-
 type t = {
   templates : Template.t Shard.t;
-  results : entry Shard.t;
   persist : persist option;
 }
 
-(* Approximate resident sizes. Exact accounting would need to walk the
-   values; these estimates only have to make the capacity knob
-   meaningful, not audit the heap. *)
+(* Approximate resident size. Exact accounting would need to walk the
+   value; this estimate only has to make the capacity knob meaningful,
+   not audit the heap. *)
 let template_cost template = 256 + (64 * Template.size template)
-
-let result_cost { result; body } =
-  let prepared = result.Tabseg.Api.prepared in
-  let observation = prepared.Tabseg.Pipeline.observation in
-  let body_bytes =
-    match body with
-    | Some (body : Codec.body) -> String.length (body :> string)
-    | None -> 0
-  in
-  1024
-  + (48 * Array.length prepared.Tabseg.Pipeline.page)
-  + (128 * Array.length observation.Tabseg_extract.Observation.entries)
-  + (64
-    * List.length
-        result.Tabseg.Api.segmentation.Tabseg.Segmentation.records)
-  + body_bytes
 
 let create ?(config = default_config) ?store ?metrics () =
   if config.capacity_mb < 1 then
@@ -101,17 +73,7 @@ let create ?(config = default_config) ?store ?metrics () =
         })
       store
   in
-  (* Templates are small and high-value (shared across every page of a
-     site); results are bulky. Budget a quarter for templates. *)
-  {
-    templates =
-      Shard.create ~shards:config.shards ~capacity:(max 1 (total / 4))
-        ~cost:template_cost ();
-    results =
-      Shard.create ~shards:config.shards ~capacity:(max 1 (total * 3 / 4))
-        ~cost:result_cost ();
-    persist;
-  }
+  { templates = Shard.create ~capacity:total ~cost:template_cost (); persist }
 
 (* ------------------------- the persistent tier ----------------------- *)
 
@@ -150,9 +112,10 @@ let count_write persist ~bytes =
       if delta > 0 then Metrics.incr ~by:delta c.c_compactions)
     persist.counters
 
-(* Read-through: on an L1 miss, consult the store, and promote a decoded
-   value into the L1 LRU so the next lookup is a memory hit. A blob that
-   fails to decode (corrupt, version-skewed) is a miss, never an error. *)
+(* Read-through: consult the store and [promote] what it decodes (a
+   template goes into the L1 LRU, so the next lookup is a memory hit). A
+   blob that fails to decode (corrupt, version-skewed) is a miss, never
+   an error. *)
 let l2_find t ~prefix ~decode ~promote ~which key =
   match t.persist with
   | None -> None
@@ -173,8 +136,8 @@ let l2_find t ~prefix ~decode ~promote ~which key =
           ~seconds:(Unix.gettimeofday () -. started);
         Some value))
 
-(* Write-through: every L1 store also lands in the log (no-op when this
-   handle is a reader or the store already holds the key). *)
+(* Write-through: every store lands in the log (a reader's put is queued
+   for the writer; a no-op when the store already holds the key). *)
 let l2_store persist ~prefix key blob =
   if Store.put persist.store ~key:(prefix ^ key) blob then
     count_write persist ~bytes:(String.length blob)
@@ -212,39 +175,17 @@ let request_key ?(tag = "") ~method_ (input : Tabseg.Pipeline.input) =
   Digest.to_hex (Digest.string (String.concat "" parts))
 
 let find_result t ~key =
-  match Shard.find t.results key with
-  | Some _ as hit -> hit
-  | None ->
-    l2_find t ~prefix:"R:"
-      ~decode:(fun blob ->
-        Option.map
-          (fun (result, body) -> { result; body = Some body })
-          (Codec.decode_result blob))
-      ~promote:(Shard.store t.results key)
-      ~which:`Result key
+  l2_find t ~prefix:"R:" ~decode:Codec.result_body ~promote:ignore
+    ~which:`Result key
 
-(* With a store, the blob's one Marshal also gives the entry its body;
-   without one, nothing is encoded until a body is asked for. *)
+(* The blob's one Marshal also gives the caller the body. *)
 let store_result t ~key result =
-  match t.persist with
-  | None ->
-    let entry = { result; body = None } in
-    Shard.store t.results key entry;
-    entry
-  | Some persist ->
-    let body = Codec.encode_body result in
-    let entry = { result; body = Some body } in
-    Shard.store t.results key entry;
-    l2_store persist ~prefix:"R:" key (Codec.result_blob body);
-    entry
-
-let body t ~key entry =
-  match entry.body with
-  | Some body -> body
-  | None ->
-    let body = Codec.encode_body entry.result in
-    Shard.store t.results key { entry with body = Some body };
-    body
+  Option.map
+    (fun persist ->
+      let body = Codec.encode_body result in
+      l2_store persist ~prefix:"R:" key (Codec.result_blob body);
+      body)
+    t.persist
 
 type persist_stats = {
   template_hits : int;
@@ -255,14 +196,12 @@ type persist_stats = {
 
 type stats = {
   templates : Shard.stats;
-  results : Shard.stats;
   persist : persist_stats option;
 }
 
 let stats (t : t) =
   {
     templates = Shard.stats t.templates;
-    results = Shard.stats t.results;
     persist =
       Option.map
         (fun p ->
@@ -279,7 +218,3 @@ let hit_rate (s : Shard.stats) =
   let consulted = s.Shard.hits + s.Shard.misses in
   if consulted = 0 then 0.
   else float_of_int s.Shard.hits /. float_of_int consulted
-
-let clear (t : t) =
-  Shard.clear t.templates;
-  Shard.clear t.results

@@ -49,7 +49,6 @@ type t = {
   requests_total : Metrics.counter;
   requests_ok : Metrics.counter;
   requests_failed : Metrics.counter;
-  cache_hits : Metrics.counter;
   batches : Metrics.counter;
   request_seconds : Metrics.histogram;
   mutable shut_down : bool;
@@ -83,7 +82,6 @@ let create ?(config = default_config) () =
     requests_total = Metrics.counter registry "requests.total";
     requests_ok = Metrics.counter registry "requests.ok";
     requests_failed = Metrics.counter registry "requests.failed";
-    cache_hits = Metrics.counter registry "cache.result_hits";
     batches = Metrics.counter registry "batches.total";
     request_seconds = Metrics.histogram registry "request.seconds";
     shut_down = false;
@@ -94,37 +92,19 @@ let metrics t = t.registry
 let cache_stats t = Option.map Cache.stats t.cache
 let store_stats t = Option.map Store.stats t.store
 
-(* What answers a request: a memo entry, or a result segmented by a
-   service without a cache. *)
-type source =
-  | Memo of Cache.t * string * Cache.entry
-  | Fresh of Tabseg.Api.result
-
-let result_of = function
-  | Memo (_, _, entry) -> entry.Cache.result
-  | Fresh result -> result
-
-let body_of = function
-  | Memo (cache, key, entry) -> Cache.body cache ~key entry
-  | Fresh result -> Codec.encode_body result
-
-(* What answers a request, and whether the memo did. *)
-let source_of t (request : request) =
-  (* the cache and the request's key in it *)
-  let memo =
-    Option.map
-      (fun cache ->
-        (cache, Cache.request_key ~method_:t.cfg.method_ request.input))
-      t.cache
+(* A request's answer, and whether the store gave it: [stored] takes the
+   body of a stored result, [fresh] a result segmented now and the body
+   that writing it to the store encoded ([None] without a store). *)
+let answer t (request : request) ~stored ~fresh =
+  (* the cache and the request's key in it, when a store holds results *)
+  let key =
+    match (t.cache, t.store) with
+    | Some cache, Some _ ->
+      Some (cache, Cache.request_key ~method_:t.cfg.method_ request.input)
+    | _ -> None
   in
-  let memoized =
-    Option.bind memo (fun (cache, key) ->
-        Option.map
-          (fun entry -> Memo (cache, key, entry))
-          (Cache.find_result cache ~key))
-  in
-  match memoized with
-  | Some memo -> (true, Ok memo)
+  match Option.bind key (fun (cache, key) -> Cache.find_result cache ~key) with
+  | Some body -> (true, Ok (stored body))
   | None ->
     (* A live deployment would fetch the pages here; the benchmark knob
        models that wait. *)
@@ -137,23 +117,20 @@ let source_of t (request : request) =
       with
       | Ok result ->
         Ok
-          (match memo with
-          | Some (cache, key) ->
-            Memo (cache, key, Cache.store_result cache ~key result)
-          | None -> Fresh result)
+          (fresh result
+             (Option.bind key (fun (cache, key) ->
+                  Cache.store_result cache ~key result)))
       | Error input_error -> Error (Invalid_input input_error) )
 
-(* One request, answered in [form]. Whatever raises on its way (the
-   pipeline, a stage subscriber, the cache, the body's encoding) answers
-   this request alone, as [Worker_crashed]; each request counts once in
+(* One request. Whatever raises on its way (the pipeline, a stage
+   subscriber, the cache, the body's encoding or decoding) answers this
+   request alone, as [Worker_crashed]; each request counts once in
    [requests.total] and once in [requests.ok] or [requests.failed]. *)
-let process form t (request : request) =
+let process t ~stored ~fresh (request : request) =
   let started = Unix.gettimeofday () in
   Metrics.incr t.requests_total;
   let cache_hit, outcome =
-    try
-      let cache_hit, outcome = source_of t request in
-      (cache_hit, Result.map form outcome)
+    try answer t request ~stored ~fresh
     with e -> (false, Error (Worker_crashed (Printexc.to_string e)))
   in
   let latency_s = Unix.gettimeofday () -. started in
@@ -161,50 +138,30 @@ let process form t (request : request) =
   (match outcome with
   | Ok _ -> Metrics.incr t.requests_ok
   | Error _ -> Metrics.incr t.requests_failed);
-  if cache_hit then Metrics.incr t.cache_hits;
   { id = request.id; outcome; cache_hit; latency_s }
 
-(* Group a batch by site, preserving first-appearance order of groups
-   and request order within each group. *)
-let group_by_site (requests : request list) =
-  let order = Hashtbl.create 16 in
-  let groups = ref [] in
-  List.iteri
-    (fun index (request : request) ->
-      match Hashtbl.find_opt order request.site with
-      | Some cell -> cell := (index, request) :: !cell
-      | None ->
-        let cell = ref [ (index, request) ] in
-        Hashtbl.replace order request.site cell;
-        groups := cell :: !groups)
-    requests;
-  List.rev_map (fun cell -> List.rev !cell) !groups
+(* The requests run one after another, in request order. *)
+let run t ~stored ~fresh requests =
+  if requests <> [] then Metrics.incr t.batches;
+  List.map (process t ~stored ~fresh) requests
 
-(* The site groups run one after another, in first-appearance order. *)
-let run_batch_in form t requests =
-  if requests = [] then []
-  else begin
-    Metrics.incr t.batches;
-    let responses = Array.make (List.length requests) None in
-    List.iter
-      (List.iter (fun (index, request) ->
-           responses.(index) <- Some (process form t request)))
-      (group_by_site requests);
-    Array.to_list responses
-    |> List.map (function
-         | Some response -> response
-         | None -> assert false)
-  end
+(* In-process callers read the result, decoding a stored one. *)
+let run_batch t = run t ~stored:Codec.decode_body ~fresh:(fun result _ -> result)
 
-let run_batch t requests = run_batch_in result_of t requests
+(* The wire takes the body: a stored one as its blob holds it, a fresh
+   one as the store's write encoded it, or else encoded now. *)
+let run_replies t =
+  run t ~stored:Fun.id ~fresh:(fun result -> function
+    | Some body -> body
+    | None -> Codec.encode_body result)
 
-let one form t request =
-  match run_batch_in form t [ request ] with
+let one run t request =
+  match run t [ request ] with
   | [ answer ] -> answer
   | _ -> assert false
 
-let segment_one t request = one result_of t request
-let reply_one t request = one body_of t request
+let segment_one t request = one run_batch t request
+let reply_one t request = one run_replies t request
 
 let maintenance t = Option.iter Store.refresh t.store
 

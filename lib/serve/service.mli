@@ -3,12 +3,12 @@
     request/response interface.
 
     A service owns a {!Metrics} registry wired to the core
-    stage-instrumentation bus and, optionally, a {!Cache} (template
-    cache + result memo). It runs every request on the caller. Batches
-    of requests are grouped by site so the pages of one site run back
-    to back — same-site requests share the induced template — and
-    responses come back in request order, byte-identical to a
-    sequential run.
+    stage-instrumentation bus and, optionally, a {!Cache}: a template
+    cache and, over a persistent store, the stored results. It runs
+    every request on the caller, in request order, byte-identical to a
+    sequential run. A repeated request is answered from the store when
+    there is one and segmented again otherwise; the in-memory memo of
+    answers is the gateway master's.
     Parallelism and isolation come from {!Tabseg_gateway.Gateway},
     whose forked worker processes each host one service. *)
 
@@ -16,20 +16,20 @@ type config = {
   cache : Cache.config option;  (** [None] disables caching *)
   store_dir : string option;
       (** directory of a persistent {!Tabseg_store.Store} backing the
-          cache as an L2 tier (conventionally [NAME.tabstore/]); warm
-          state survives restarts and is shared across processes. Only
-          meaningful with [cache]; [None] (default) keeps the caches
-          purely in-memory. *)
+          template cache as an L2 tier and holding results
+          (conventionally [NAME.tabstore/]); warm state survives
+          restarts and is shared across processes. Only meaningful with
+          [cache]; [None] (default) keeps templates in memory and
+          results nowhere. *)
   method_ : Tabseg.Api.method_;
   simulated_fetch_s : float;
-      (** benchmark knob: sleep this long per cache-missing request to
-          model the network fetch a live deployment would perform
-          (cache hits serve from the cache and skip it). Default 0.
-          It is also how tests and benches model service time and
-          stalls behind the gateway and the daemon: with
-          [cache = None] every request pays it, and a warmed memo lets
-          chosen requests skip it. Nothing a request carries can ask
-          for a sleep. *)
+      (** benchmark knob: sleep this long per request the store does not
+          answer, to model the network fetch a live deployment would
+          perform. Default 0. It is also how tests and benches model
+          service time and stalls behind the gateway and the daemon:
+          every request that reaches a worker without a store pays it,
+          and the master's memo lets chosen requests skip the worker.
+          Nothing a request carries can ask for a sleep. *)
 }
 
 val default_config : config
@@ -38,7 +38,9 @@ val default_config : config
 
 type request = {
   id : string;  (** echoed back; not interpreted *)
-  site : string;  (** batching key: requests sharing it run together *)
+  site : string;
+      (** the gateway's affinity and quota key: a site's requests share
+          a home worker and a token bucket *)
   input : Tabseg.Pipeline.input;
 }
 
@@ -54,7 +56,7 @@ val error_message : error -> string
 type 'a answer = {
   id : string;
   outcome : ('a, error) result;
-  cache_hit : bool;  (** served from the result memo *)
+  cache_hit : bool;  (** served from the store *)
   latency_s : float;  (** time spent processing this request *)
 }
 
@@ -62,9 +64,10 @@ type response = Tabseg.Api.result answer
 (** An answer for in-process callers: the result itself. *)
 
 type reply = Tabseg_store.Codec.body answer
-(** An answer for the wire: the result as its encoded body. A memo hit
-    replies with the body its entry keeps, so a served result is
-    encoded at most once per entry. *)
+(** An answer for the wire: the result as its encoded body. A store hit
+    replies with the body its blob holds, unmarshalled nowhere on the
+    way; a miss over a store replies with the body its blob was made
+    from, so a served result is encoded once. *)
 
 type t
 
@@ -79,9 +82,8 @@ val store_stats : t -> Tabseg_store.Store.stats option
 (** [None] when no persistent store is configured. *)
 
 val run_batch : t -> request list -> response list
-(** Process a batch: group by [site] and run the groups one after
-    another, in the order each site first appears. The response list is
-    in request order. A request that raises resolves as
+(** Process a batch, one request after another in request order; a
+    stored result is decoded here. A request that raises resolves as
     [Worker_crashed] alone; each request counts once in
     [requests.total] and once in [requests.ok] or [requests.failed]. *)
 
@@ -89,8 +91,8 @@ val segment_one : t -> request -> response
 (** [run_batch] of a singleton. *)
 
 val reply_one : t -> request -> reply
-(** {!segment_one} with the result as its body: the memo entry's body
-    (encoded and kept on the first ask), or, without a cache, encoded
+(** {!segment_one} with the result as its body: the stored blob's body,
+    or the one a miss wrote to the store, or, without a store, encoded
     now. Used where the answer leaves the process. *)
 
 val maintenance : t -> unit

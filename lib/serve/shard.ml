@@ -134,13 +134,3 @@ let stats t =
           }))
     { hits = 0; misses = 0; evictions = 0; entries = 0; cost = 0; capacity = 0 }
     t.shards
-
-let clear t =
-  Array.iter
-    (fun shard ->
-      Lockcheck.protect shard.mutex (fun () ->
-          Hashtbl.reset shard.table;
-          shard.head <- None;
-          shard.tail <- None;
-          shard.used <- 0))
-    t.shards

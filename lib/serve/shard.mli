@@ -34,6 +34,3 @@ val store : 'v t -> string -> 'v -> unit
     budget again. *)
 
 val stats : 'v t -> stats
-
-val clear : 'v t -> unit
-(** Drop every entry (statistics are kept). *)

@@ -33,17 +33,20 @@ let blob ~kind payload =
 
 let encode ~kind value = blob ~kind (Marshal.to_string value [])
 
-(* Digest and unmarshal the payload where it lies in the blob. *)
-let decode ~kind blob =
+(* Whether [blob] is an intact blob of [kind] at this version: its
+   prefix checks out and its digest matches the payload where it lies. *)
+let verified ~kind blob =
   let len = String.length blob in
-  if len < prefix_len then None
-  else if not (String.starts_with ~prefix:magic blob) then None
-  else if blob.[4] <> kind then None
-  else if Char.code blob.[5] <> version then None
-  else if
-    Digest.substring blob prefix_len (len - prefix_len)
-    <> String.sub blob 6 digest_len
-  then None
+  len >= prefix_len
+  && String.starts_with ~prefix:magic blob
+  && blob.[4] = kind
+  && Char.code blob.[5] = version
+  && Digest.substring blob prefix_len (len - prefix_len)
+     = String.sub blob 6 digest_len
+
+(* Verify, then unmarshal the payload where it lies in the blob. *)
+let decode ~kind blob =
+  if not (verified ~kind blob) then None
   else
     match Marshal.from_string blob prefix_len with
     | value -> Some value
@@ -61,8 +64,7 @@ let encode_body (result : Tabseg.Api.result) : body =
 let decode_body (body : body) : Tabseg.Api.result = Marshal.from_string body 0
 let result_blob (body : body) = blob ~kind:kind_result body
 
-let decode_result blob =
-  match (decode ~kind:kind_result blob : Tabseg.Api.result option) with
-  | None -> None
-  | Some result ->
-    Some (result, String.sub blob prefix_len (String.length blob - prefix_len))
+let result_body blob =
+  if verified ~kind:kind_result blob then
+    Some (String.sub blob prefix_len (String.length blob - prefix_len))
+  else None

@@ -38,5 +38,6 @@ val decode_body : body -> Tabseg.Api.result
 val result_blob : body -> string
 (** The blob that stores a result, around its body. *)
 
-val decode_result : string -> (Tabseg.Api.result * body) option
-(** A verified result blob's value and its body. *)
+val result_body : string -> body option
+(** A verified result blob's body, not unmarshalled: [None] when the
+    blob is not an intact result blob of this {!version}. *)

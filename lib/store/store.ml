@@ -18,12 +18,9 @@ type role = Writer | Reader
 type config = {
   capacity_mb : int;
   sync_on_put : bool;
-  auto_compact : bool;
-  offload : bool;
 }
 
-let default_config =
-  { capacity_mb = 128; sync_on_put = false; auto_compact = true; offload = true }
+let default_config = { capacity_mb = 128; sync_on_put = false }
 
 exception Not_a_store of string
 
@@ -157,7 +154,7 @@ type t = {
   mutable closed : bool;
   (* reader-side write offload: this handle's queue file, opened lazily
      at the first queued put *)
-  offload_path : string option;  (* readers with offload enabled only *)
+  offload_path : string option;  (* readers only *)
   mutable offload_fd : (Unix.file_descr * int (* inode *)) option;
   (* statistics (cumulative over the handle's lifetime) *)
   mutable s_gets : int;
@@ -398,8 +395,7 @@ let put_locked t ~key value =
       t.file_bytes <- t.file_bytes + size;
       t.s_puts <- t.s_puts + 1;
       t.s_appended_bytes <- t.s_appended_bytes + size;
-      if t.cfg.auto_compact && t.file_bytes - header_size > capacity_bytes t
-      then compact_locked t;
+      if t.file_bytes - header_size > capacity_bytes t then compact_locked t;
       true
     end
   end
@@ -453,7 +449,7 @@ let offload_append_locked t ~key value =
 
 let reader_put_locked t ~key value =
   let size = record_header + String.length key + String.length value in
-  if t.cfg.offload && t.offload_path <> None && size <= capacity_bytes t then (
+  if t.offload_path <> None && size <= capacity_bytes t then (
     match offload_append_locked t ~key value with
     | () ->
       t.s_offload_queued <- t.s_offload_queued + 1;
@@ -574,7 +570,7 @@ let open_store ?(config = default_config) ?(readonly = false) dir =
       ino = 0;
       closed = false;
       offload_path =
-        (if role = Reader && config.offload then
+        (if role = Reader then
            Some
              (Filename.concat dir
                 (Printf.sprintf "%s%d-%d%s" offload_prefix (Unix.getpid ())

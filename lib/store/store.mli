@@ -26,18 +26,18 @@
     segment; {!refresh} picks up records appended — or a whole segment
     swapped in by a compaction — since their last scan.
 
-    {e Write offload}: a reader cannot append to the segment, but with
-    {!config.offload} (the default) its [put]s are not lost either —
-    each reader appends them to a private [offload-<pid>-<n>.queue]
-    file in the store directory, framed exactly like segment records.
+    {e Write offload}: a reader cannot append to the segment, but its
+    [put]s are not lost either — each reader appends them to a private
+    [offload-<pid>-<n>.queue] file in the store directory, framed
+    exactly like segment records.
     The writer {e folds} every queue into the main log when it opens
     the store and on every {!refresh} tick (claiming each queue by
     rename first, so a crash mid-fold re-folds idempotently — folding
     an already-present key is a no-op), then unlinks it. Readers pick
     the folded entries up through their own [refresh] like any other
     append. [put_rejected] stays what it always was: the count of
-    drops that did not even queue (oversize records, offload disabled,
-    or a queue-file write error).
+    drops that did not even queue (oversize records or a queue-file
+    write error).
 
     Keys are arbitrary strings (callers here use content digests);
     values are arbitrary bytes. The store never interprets either: it
@@ -61,13 +61,6 @@ type config = {
       (** [fsync] after every append; durable but slow (default false —
           the log is always {e consistent} after a crash, this knob
           only bounds how much is {e lost}) *)
-  auto_compact : bool;
-      (** compact from inside [put] when the budget is exceeded
-          (default true) *)
-  offload : bool;
-      (** readers queue their [put]s to a per-reader offload file for
-          the writer to fold in, instead of dropping them (default
-          true) *)
 }
 
 val default_config : config
@@ -99,9 +92,8 @@ val put : t -> key:string -> string -> bool
     this handle's view (including the no-op re-put of an existing
     key); [false] when it is not — because the record alone exceeds
     the whole capacity budget, or because the handle is a {!Reader}.
-    A reader's put is still {e queued} to its offload file (unless
-    {!config.offload} is off or the queue write fails) for the writer
-    to fold in later; the key only becomes visible through this handle
+    A reader's put is still {e queued} to its offload file (unless the
+    queue write fails) for the writer to fold in later; the key only becomes visible through this handle
     after the writer folds and a {!refresh} picks it up. *)
 
 val mem : t -> string -> bool
@@ -137,9 +129,9 @@ type stats = {
   hits : int;
   puts : int;  (** appends actually performed *)
   put_rejected : int;
-      (** puts that were dropped outright — oversize, offload disabled,
-          or the offload append itself failed; queued puts are counted
-          in [offload_queued] instead *)
+      (** puts that were dropped outright — oversize, or the offload
+          append itself failed; queued puts are counted in
+          [offload_queued] instead *)
   offload_queued : int;  (** reader puts appended to the offload queue *)
   offload_folded : int;
       (** offload-queue records this writer folded into the log

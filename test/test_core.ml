@@ -564,6 +564,39 @@ let prop_blank_is_trim =
             (int_range 0 12)))
     (fun s -> Tabseg.Api.blank s = (String.trim s = ""))
 
+(* A raising stage subscriber hides the event from no other subscriber:
+   one registered before it still receives it, after a stage that
+   returned and after one that raised. The stage's own exception wins;
+   otherwise the subscriber's propagates as itself. *)
+let test_instrument_raising_subscriber () =
+  let seen = ref [] in
+  let older =
+    Tabseg.Instrument.subscribe (fun event ->
+        seen := event.Tabseg.Instrument.stage :: !seen)
+  in
+  let raising =
+    Tabseg.Instrument.subscribe (fun _ -> failwith "subscriber")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Tabseg.Instrument.unsubscribe raising;
+      Tabseg.Instrument.unsubscribe older)
+  @@ fun () ->
+  (match Tabseg.Instrument.time ~stage:"test.returned" (fun () -> 42) with
+  | _ -> Alcotest.fail "the subscriber's exception was lost"
+  | exception Failure message ->
+    Alcotest.(check string) "the subscriber's exception, as itself"
+      "subscriber" message);
+  (match
+     Tabseg.Instrument.time ~stage:"test.raised" (fun () -> raise Exit)
+   with
+  | () -> Alcotest.fail "the stage's exception was lost"
+  | exception Exit -> ());
+  Alcotest.(check (list string))
+    "the older subscriber saw both events"
+    [ "test.returned"; "test.raised" ]
+    (List.rev !seen)
+
 let () =
   Alcotest.run "tabseg_core"
     [
@@ -613,4 +646,9 @@ let () =
             test_pipeline_whole_page_fallback;
         ] );
       ("api", [ QCheck_alcotest.to_alcotest prop_blank_is_trim ]);
+      ( "instrument",
+        [
+          Alcotest.test_case "a raising subscriber hides no event" `Quick
+            test_instrument_raising_subscriber;
+        ] );
     ]

@@ -5,7 +5,9 @@
    procs=2 merge against the sequential reference, in-order merge under
    adversarial per-worker latency skew, worker-crash recovery via a
    single re-dispatch, permanent worker loss as a typed error, deadline
-   expiry at the master, and SIGTERM drain semantics. *)
+   expiry at the master, the master's memo (repeats answered inside
+   [submit], copies joined to a frame in flight, late answers kept),
+   and SIGTERM drain semantics. *)
 
 open Tabseg_serve
 open Tabseg_gateway
@@ -412,8 +414,9 @@ let test_procs2_matches_sequential () =
     (List.length (List.filter (fun (_, _, role) -> role = "reader") roles))
 
 (* A response carries the body its worker encoded: decoded, it equals
-   the in-process result, miss and hits alike, at procs 2 and 1. Two
-   hits on one worker's memo entry carry the same body. *)
+   the in-process result, miss and hits alike, at procs 2 and 1. The
+   second and third copies join the first one's frame at the master,
+   so the two hits carry the same body. *)
 let test_bodies_decode_and_are_shared () =
   let request = List.hd (requests_of [ "ButlerCounty" ]) in
   let expected =
@@ -457,10 +460,9 @@ let test_inorder_merge_under_skew () =
   let expected = sequential_reference requests in
   (* Deterministic adversarial skew: at procs=2 the two sites have
      different home workers. The workers sleep inside every request
-     they have not served yet, and a warm-up leaves the later-submitted
-     site in its worker's result memo, so its replies come back while
-     the first site's worker still grinds: far out of submission
-     order. *)
+     that reaches them, and a warm-up leaves the later-submitted site
+     in the master's memo, so its replies come back while the first
+     site's worker still grinds: far out of submission order. *)
   with_gateway
     { Gateway.default_config with
       Gateway.procs = 2;
@@ -510,10 +512,9 @@ let test_worker_crash_recovery () =
     (counter_value gateway "gateway.worker_restarts" >= 1);
   check_bool "the request was re-dispatched exactly once" true
     (counter_value gateway "gateway.redispatches" >= 1);
-  (* The fleet is healthy again afterwards. *)
-  let healthy = Gateway.health gateway in
-  check_int "both workers answer pings" 2
-    (List.length (List.filter snd healthy))
+  (* The fleet is whole again afterwards. *)
+  Alcotest.(check (list int)) "both slots live" [ 0; 1 ]
+    (List.map fst (Gateway.worker_pids gateway))
 
 (* While a killed slot waits out its restart backoff, the live worker
    beside it is still listed under its own slot index, the index of its
@@ -946,6 +947,128 @@ let test_memo_hit_without_workers () =
   check_int "nothing re-dispatched" 0
     (counter_value gateway "gateway.redispatches")
 
+(* Workers that sleep [fetch_s] inside every request that reaches them,
+   with the cache on: the master's memo answers repeats and in-flight
+   inputs are joined. *)
+let slow_cached_service fetch_s =
+  { Service.default_config with Service.simulated_fetch_s = fetch_s }
+
+let dispatched_frames gateway =
+  (Metrics.summary
+     (Metrics.histogram (Gateway.metrics gateway) "gateway.dispatch_seconds"))
+    .Metrics.count
+
+(* A copy submitted while the first request is in flight joins its
+   frame: it is answered with the first one's body, as a hit, and no
+   second frame goes to any worker. *)
+let test_copy_joins_frame_in_flight () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  with_gateway
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      service = slow_cached_service 0.3
+    }
+  @@ fun gateway ->
+  let copy = { request with Service.id = "copy" } in
+  let responses = submit_all gateway [ request; copy ] in
+  check_bool "the copy is not answered inside submit" true
+    (responses.(1) = None);
+  check_int "both in flight" 2 (Gateway.inflight gateway);
+  pump_until gateway (resolved responses);
+  let first = Option.get responses.(0) and second = Option.get responses.(1) in
+  check_bool "the first is a miss" false first.Gateway.cache_hit;
+  check_bool "the copy is a hit" true second.Gateway.cache_hit;
+  check_string "the copy keeps its id" "copy" second.Gateway.id;
+  check_bool "the copy carries the first one's body" true
+    (body_of second == body_of first);
+  check_int "one frame reached a worker" 1 (dispatched_frames gateway);
+  check_int "the copy counted as a memo hit" 1
+    (counter_value gateway "gateway.memo_hits");
+  check_int "both counted" 2 (counter_value gateway "gateway.requests_total")
+
+(* A copy keeps its own deadline: the first request expires while its
+   frame still grinds, and the copy, submitted later, is answered with
+   the frame's late answer within its own deadline. *)
+let test_copy_keeps_its_deadline () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  with_gateway
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      deadline_s = Some 0.6;
+      service = slow_cached_service 0.8
+    }
+  @@ fun gateway ->
+  let first = submit_all gateway [ request ] in
+  let later = Unix.gettimeofday () +. 0.4 in
+  pump_until gateway (fun () -> Unix.gettimeofday () >= later);
+  let copy = submit_all gateway [ { request with Service.id = "copy" } ] in
+  pump_until gateway (resolved first);
+  (match first.(0) with
+  | Some { Gateway.outcome = Error Gateway.Deadline_exceeded; _ } -> ()
+  | _ -> Alcotest.fail "the first request should have expired");
+  check_bool "the copy outlives the first one's deadline" true
+    (copy.(0) = None);
+  pump_until gateway (resolved copy);
+  let answer = Option.get copy.(0) in
+  check_bool "the copy is a hit" true answer.Gateway.cache_hit;
+  check_string "with the frame's segmentation"
+    (List.hd (sequential_reference [ request ]))
+    (render_response answer);
+  check_int "one frame reached a worker" 1 (dispatched_frames gateway)
+
+(* When no worker will answer the frame, the copy joined to it is lost
+   with it: both workers that take the first request die holding it. *)
+let test_copy_of_lost_request () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  with_gateway
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      max_restarts = 2;
+      backoff_s = 0.01;
+      service = slow_cached_service 1.0
+    }
+  @@ fun gateway ->
+  let responses =
+    submit_all gateway [ request; { request with Service.id = "copy" } ]
+  in
+  kill_busy_worker gateway;
+  kill_busy_worker gateway;
+  pump_until gateway (resolved responses);
+  Array.iter
+    (function
+      | Some { Gateway.outcome = Error (Gateway.Worker_lost _); _ } -> ()
+      | Some response ->
+        Alcotest.fail ("expected Worker_lost, got " ^ render_response response)
+      | None -> assert false)
+    responses;
+  check_int "only the frame was re-dispatched" 1
+    (counter_value gateway "gateway.redispatches")
+
+(* An [Ok] answer that arrives after its request expired still fills
+   the memo: the next request for that input is answered inside
+   [submit]. *)
+let test_late_answer_fills_memo () =
+  let request = List.hd (requests_of [ "ButlerCounty" ]) in
+  with_gateway
+    { Gateway.default_config with
+      Gateway.procs = 2;
+      deadline_s = Some 0.1;
+      service = slow_cached_service 0.3
+    }
+  @@ fun gateway ->
+  (match Gateway.run_batch gateway [ request ] with
+  | [ { Gateway.outcome = Error Gateway.Deadline_exceeded; _ } ] -> ()
+  | _ -> Alcotest.fail "expected Deadline_exceeded");
+  pump_until gateway (fun () ->
+      counter_value gateway "gateway.late_responses" = 1);
+  match submit_now gateway { request with Service.id = "repeat" } with
+  | Some response ->
+    check_bool "a memo hit" true response.Gateway.cache_hit;
+    check_string "the late answer's segmentation"
+      (List.hd (sequential_reference [ request ]))
+      (render_response response)
+  | None -> Alcotest.fail "the repeat did not complete inside submit"
+
 (* More distinct bodies than a 1 MB budget holds: the memo's bytes stay
    within it, and the oldest body is the one evicted. *)
 let test_memo_within_budget () =
@@ -975,7 +1098,7 @@ let test_memo_within_budget () =
       service =
         { Service.default_config with
           Service.cache =
-            Some { Cache.default_config with Cache.capacity_mb = 1 }
+            Some { Cache.capacity_mb = 1 }
         }
     }
   @@ fun gateway ->
@@ -1113,6 +1236,14 @@ let () =
             test_memo_hit_without_workers;
           Alcotest.test_case "the memo stays within its budget" `Slow
             test_memo_within_budget;
+          Alcotest.test_case "a copy in flight joins the first's frame"
+            `Quick test_copy_joins_frame_in_flight;
+          Alcotest.test_case "a copy keeps its own deadline" `Quick
+            test_copy_keeps_its_deadline;
+          Alcotest.test_case "the copy of a lost request is lost" `Slow
+            test_copy_of_lost_request;
+          Alcotest.test_case "a late Ok answer fills the memo" `Quick
+            test_late_answer_fills_memo;
         ] );
       (* Last on purpose: the killer Domain.spawn below must come after
          every fork in this process (fork-after-domain hazard). *)

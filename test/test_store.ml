@@ -207,17 +207,6 @@ let test_single_writer () =
   check_int "queued, not dropped" 1 (Store.stats second).Store.offload_queued;
   check_int "no outright drop" 0 (Store.stats second).Store.put_rejected;
   Store.close second;
-  (* with offload off, a reader's put is a counted hard drop *)
-  let no_offload =
-    Store.open_store
-      ~config:{ Store.default_config with Store.offload = false }
-      dir
-  in
-  check_bool "offload off: put refused" false
-    (Store.put no_offload ~key:"k2" "v");
-  check_int "refusal counted" 1 (Store.stats no_offload).Store.put_rejected;
-  check_int "nothing queued" 0 (Store.stats no_offload).Store.offload_queued;
-  Store.close no_offload;
   Store.close writer;
   (* the lock dies with its holder *)
   let reopened = Store.open_store dir in
@@ -402,12 +391,12 @@ let test_codec_result_roundtrip () =
     Tabseg.Api.segment ~method_:Tabseg.Api.Probabilistic (superpages_input ())
   in
   let body = Codec.encode_body result in
-  match Codec.decode_result (Codec.result_blob body) with
+  match Codec.result_body (Codec.result_blob body) with
   | None -> Alcotest.fail "result failed to roundtrip"
-  | Some (decoded, decoded_body) ->
+  | Some decoded_body ->
     check_bool "the blob carries the body" true (decoded_body = body);
     check_string "segmentation renders identically" (render_result result)
-      (render_result decoded)
+      (render_result (Codec.decode_body decoded_body))
 
 let test_codec_rejects_damage () =
   let blob = Codec.encode_template (induced_template ()) in
@@ -423,10 +412,25 @@ let test_codec_rejects_damage () =
   check_bool "version skew is a miss" true
     (Codec.decode_template (flip 5 blob) = None);
   check_bool "kind confusion is a miss" true
-    (Codec.decode_result blob = None);
+    (Codec.result_body blob = None);
   check_bool "truncation is a miss" true
     (Codec.decode_template (String.sub blob 0 (String.length blob / 2)) = None);
-  check_bool "empty blob is a miss" true (Codec.decode_template "" = None)
+  check_bool "empty blob is a miss" true (Codec.decode_template "" = None);
+  (* a result blob's body is verified the same way, though not decoded *)
+  let result_blob =
+    Codec.result_blob
+      (Codec.encode_body
+         (Tabseg.Api.segment ~method_:Tabseg.Api.Csp (superpages_input ())))
+  in
+  check_bool "an intact result blob has a body" true
+    (Codec.result_body result_blob <> None);
+  check_bool "tampered result payload is a miss" true
+    (Codec.result_body (flip (String.length result_blob - 1) result_blob)
+    = None);
+  check_bool "result version skew is a miss" true
+    (Codec.result_body (flip 5 result_blob) = None);
+  check_bool "result truncation is a miss" true
+    (Codec.result_body (String.sub result_blob 0 21) = None)
 
 (* ------------------------- the cache L2 tier ------------------------- *)
 

@@ -25,8 +25,9 @@ let stream_config ~method_ =
 (* ------------------------- built-in sites ---------------------------- *)
 
 (* Every page of every built-in site, both methods: the single-unit stream
-   (Service's seam) ends with the batch outcome, byte for byte, and the
-   records it emitted along the way are the outcome's records. *)
+   ([Runner.stream_input], one page with its details) ends with the batch
+   outcome, byte for byte, and the records it emitted along the way are
+   the outcome's records. *)
 let test_builtin_sites_identical () =
   List.iter
     (fun site ->
