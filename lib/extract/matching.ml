@@ -2,22 +2,12 @@ open Tabseg_token
 
 type detail_index = {
   words : string array;  (** separator-free word tokens in order *)
-  token_indices : int array;  (** original token index of each word *)
   first_word : (string, int list) Hashtbl.t;
       (** word -> positions in [words], ascending *)
 }
 
 let index_detail stream =
-  let words = ref [] and indices = ref [] in
-  Array.iter
-    (fun (token : Token.t) ->
-      if Token.is_word token && not (Token.is_separator token) then begin
-        words := token.Token.text :: !words;
-        indices := token.Token.index :: !indices
-      end)
-    stream;
-  let words = Array.of_list (List.rev !words) in
-  let token_indices = Array.of_list (List.rev !indices) in
+  let words = (Tokenizer.word_scan_of_tokens stream).Tokenizer.words in
   let first_word = Hashtbl.create (Array.length words) in
   for i = Array.length words - 1 downto 0 do
     let existing =
@@ -25,7 +15,7 @@ let index_detail stream =
     in
     Hashtbl.replace first_word words.(i) (i :: existing)
   done;
-  { words; token_indices; first_word }
+  { words; first_word }
 
 let matches_at index position words =
   let n = Array.length index.words in
@@ -36,17 +26,9 @@ let matches_at index position words =
   in
   check position words
 
-let occurrences index words =
+let contains index words =
   match words with
-  | [] -> []
+  | [] -> false
   | first :: _ ->
-    let starts =
-      Option.value ~default:[] (Hashtbl.find_opt index.first_word first)
-    in
-    starts
-    |> List.filter (fun position -> matches_at index position words)
-    |> List.map (fun position -> index.token_indices.(position))
-
-let contains index words = occurrences index words <> []
-
-let word_count index = Array.length index.words
+    Option.value ~default:[] (Hashtbl.find_opt index.first_word first)
+    |> List.exists (fun position -> matches_at index position words)

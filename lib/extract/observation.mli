@@ -32,13 +32,19 @@ type t = {
 type builder
 (** A table under construction: {!start}, one {!add_detail} per detail
     page in record order, then {!finish}. A caller can drop each detail
-    page's tokens as soon as it has been added. *)
+    page's words as soon as it has been added. *)
 
 val start : Extract.t list -> builder
+(** Index the extracts by their first word, once for every detail page. *)
 
-val add_detail : builder -> Matching.detail_index -> unit
+val add_detail : builder -> Tokenizer.word_scan -> unit
 (** Match every extract against the next detail page (its index is the
-    number of detail pages added before it). *)
+    number of detail pages added before it), in one pass over the page's
+    separator-free words: each word is looked up among the extracts' first
+    words, and each extract that starts with it is compared on its
+    remaining words there. A match records (page, the word's token
+    index); an extract's observations come in page order, then in
+    ascending position. *)
 
 val finish : ?other_lists:Matching.detail_index list -> builder -> t
 (** Apply the filters and freeze the table. [other_lists] are the other
@@ -50,17 +56,14 @@ val build :
   details:Token.t array list ->
   unit ->
   t
-(** {!start}, {!add_detail} of each of [details], then {!finish}.
+(** {!start}, {!add_detail} of each of [details]' words
+    ({!Tokenizer.word_scan_of_tokens}), then {!finish}.
     [other_list_pages] enables the "appears on all list pages" filter (the
     extract must also occur on every one of them to be dropped). *)
 
 val candidate_count : t -> int
 (** Total number of (extract, candidate record) pairs — the number of
     variables a CSP encoding will create. *)
-
-val pages_covered : t -> int
-(** How many distinct detail pages are matched by at least one entry —
-    used by the template-quality fallback check. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the observation table in the style of the paper's Table 1. *)

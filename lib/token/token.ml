@@ -24,16 +24,23 @@ let is_tag t = match t.kind with Start_tag _ | End_tag _ -> true | Word -> false
 let is_word t =
   match t.kind with Word -> true | Start_tag _ | End_tag _ -> false
 
-let rec all_benign text i =
-  i >= String.length text
-  || Tabseg_html.Lexer.is_benign_punctuation (String.unsafe_get text i)
-     && all_benign text (i + 1)
+(* True when [text.[i..stop-1]] has no letter or digit, and [other] or
+   some byte outside the benign set. *)
+let rec punctuation_separates text i stop other =
+  if i >= stop then other
+  else
+    match String.unsafe_get text i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> false
+    | c ->
+      punctuation_separates text (i + 1) stop
+        (other || not (Tabseg_html.Lexer.is_benign_punctuation c))
+
+let separator_word text start stop = punctuation_separates text start stop false
 
 let is_separator t =
   match t.kind with
   | Start_tag _ | End_tag _ -> true
-  | Word ->
-    Token_type.mem Token_type.Punctuation t.types && not (all_benign t.text 0)
+  | Word -> separator_word t.text 0 (String.length t.text)
 
 (* A tag's [text] is already its "<name>" / "</name>" rendering. *)
 let template_key t = t.text

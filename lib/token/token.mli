@@ -43,7 +43,15 @@ val is_word : t -> bool
 val is_separator : t -> bool
 (** Per Section 3.2: HTML tags are separators; so is a punctuation-only
     token containing any character outside the benign set [.,()-]
-    ({!Tabseg_html.Lexer.is_benign_punctuation}). *)
+    ({!Tabseg_html.Lexer.is_benign_punctuation}). A word token is one when
+    {!separator_word} holds of its text. *)
+
+val separator_word : string -> int -> int -> bool
+(** [separator_word s start stop]: the word [s.[start..stop-1]] is a
+    separator — it has no ASCII letter or digit (its {!Token_type} is
+    punctuation) and some byte outside the benign set. The one rule for
+    word tokens and for the tokenizer's word scan, which tests a word in
+    place before it copies it. *)
 
 val template_key : t -> string
 (** Equality key used by template induction: tags compare by name and

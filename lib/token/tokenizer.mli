@@ -8,19 +8,39 @@
     contents of script and style elements, comments and doctypes produce no
     tokens.
 
-    {!tokenize} makes one pass: it folds {!Tabseg_html.Lexer.scan} straight
-    into the token array, with no event list and no attribute values. A
-    text run without ['&'] is split in place from the page, the UTF-8
-    non-breaking space counting as whitespace; one with an entity is
-    decoded first. Each distinct tag's text and kind are made once per page
-    ({!Token.tag}), and one-byte ASCII words share their text.
-    {!Tabseg_html.Lexer.lex} and {!Tabseg_html.Dom}, which keep attributes,
-    serve the crawler's link extraction, the tag-heuristic baseline and
-    the vertical-table transposer. *)
+    {!tokenize} and {!scan_words} each make one pass: they fold
+    {!Tabseg_html.Lexer.scan} through the same splitting, with no event
+    list and no attribute values. A text run without ['&'] is split in
+    place from the page, the UTF-8 non-breaking space counting as
+    whitespace; one with an entity is decoded first, and the words the
+    first try kept are dropped. {!tokenize} makes each distinct tag's text
+    and kind once per page ({!Token.tag}); one-byte ASCII words share
+    their text. {!Tabseg_html.Lexer.lex} and {!Tabseg_html.Dom}, which
+    keep attributes, serve the crawler's link extraction, the
+    tag-heuristic baseline and the vertical-table transposer. *)
 
 val tokenize : string -> Token.t array
 (** Tokenize an HTML document. Token [index] fields are consecutive from
     0. *)
+
+type word_scan = {
+  words : string array;
+      (** the page's non-separator words ({!Token.separator_word}), in
+          order *)
+  indices : int array;  (** the token index of each word *)
+  token_count : int;  (** the number of tokens on the page *)
+}
+(** What matching reads of a detail page (paper Section 3.2): the words
+    a value can match, skipping the separators between them. *)
+
+val scan_words : string -> word_scan
+(** [scan_words html] is [word_scan_of_tokens (tokenize html)], made
+    without any {!Token.t}: a tag only advances the token count, and a
+    word is tested in place and copied only when it is kept. *)
+
+val word_scan_of_tokens : Token.t array -> word_scan
+(** The non-separator word tokens of a stream ({!Token.is_word} and not
+    {!Token.is_separator}), their indices, and the stream's length. *)
 
 val words : Token.t array -> Token.t list
 (** The visible (non-tag) tokens of a stream, in order. *)

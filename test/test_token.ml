@@ -202,6 +202,28 @@ let test_tokenize_allocation () =
   if per_byte > 3. then
     Alcotest.failf "tokenize allocates %.2f minor words per byte (bound 3)" per_byte
 
+let table4_detail_pages () =
+  List.concat_map
+    (fun site ->
+      (Tabseg_sitegen.Sites.generate site).Tabseg_sitegen.Sites.pages
+      |> List.concat_map (fun (page : Tabseg_sitegen.Sites.page) ->
+             page.Tabseg_sitegen.Sites.detail_htmls))
+    Tabseg_sitegen.Sites.all
+
+(* The detail-page path: the word scan makes no token, tests each word in
+   place and copies only the words it keeps, so the 309 Table 4 detail
+   pages cost at most 1 minor word per byte (0.49 when it was written;
+   [tokenize] then [Matching.index_detail] allocated 3.9). *)
+let test_scan_allocation () =
+  let pages = table4_detail_pages () in
+  let bytes = List.fold_left (fun acc page -> acc + String.length page) 0 pages in
+  let words =
+    List.fold_left (fun acc page -> acc +. minor_words Tokenizer.scan_words page) 0. pages
+  in
+  let per_byte = words /. float_of_int bytes in
+  if per_byte > 1. then
+    Alcotest.failf "scan_words allocates %.2f minor words per byte (bound 1)" per_byte
+
 (* A 100 KB inline script and a style sheet: finding where a raw body ends
    compares in place, so neither entry point allocates per body byte.
    ([Lexer.lex]'s [Text] event still copies each body; at these sizes the
@@ -279,5 +301,7 @@ let () =
             `Quick test_tokenize_allocation;
           Alcotest.test_case "script and style bodies allocate nothing" `Quick
             test_raw_bodies_allocate_nothing;
+          Alcotest.test_case "Table 4 detail pages: the word scan" `Quick
+            test_scan_allocation;
         ] );
     ]

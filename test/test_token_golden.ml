@@ -435,6 +435,56 @@ let test_table4_page_count () =
   Alcotest.(check int) "Table 4 list and detail pages" 333
     (List.fold_left (fun acc (_, pages) -> acc + List.length pages) 0 (table4 ()))
 
+(* ------------------------------ word scan ---------------------------- *)
+
+(* The separator rule before [Token.separator_word], read from a token's
+   pinned types and text. *)
+let former_separator (t : Token.t) =
+  let rec all_benign text i =
+    i >= String.length text
+    || Lexer.is_benign_punctuation text.[i] && all_benign text (i + 1)
+  in
+  Token.is_tag t
+  || Token_type.mem Token_type.Punctuation t.Token.types && not (all_benign t.Token.text 0)
+
+(* What matching reads of a page, from its tokens: the non-separator
+   words with their token indices, and the token count. *)
+let searchable_words html =
+  let tokens = Tokenizer.tokenize html in
+  let kept = List.filter (fun t -> not (former_separator t)) (Array.to_list tokens) in
+  ( List.map (fun (t : Token.t) -> (t.Token.text, t.Token.index)) kept,
+    Array.length tokens )
+
+let scanned_words html =
+  let scan = Tokenizer.scan_words html in
+  ( Array.to_list
+      (Array.map2 (fun word index -> (word, index)) scan.Tokenizer.words
+         scan.Tokenizer.indices),
+    scan.Tokenizer.token_count )
+
+let scan_matches html = scanned_words html = searchable_words html
+
+let check_scan inputs () =
+  List.iter
+    (fun (name, pages) ->
+      List.iteri
+        (fun i page ->
+          if not (scan_matches page) then
+            Alcotest.failf "%s page %d: the word scan differs from tokenize's words"
+              name i)
+        pages)
+    (inputs ())
+
+(* An entity sends the run back to be decoded and split again; the words
+   the first try kept must go with it. *)
+let test_scan_entity_run () =
+  let html = "<p>John Smith &amp; Co</p>" in
+  Alcotest.(check (pair (list (pair string int)) int))
+    "John@1 Smith@2 Co@4 of 6 tokens"
+    ([ ("John", 1); ("Smith", 2); ("Co", 4) ], 6)
+    (scanned_words html);
+  Alcotest.(check bool) "equals tokenize's words" true (scan_matches html)
+
 (* ---------------------------- differentials -------------------------- *)
 
 let names =
@@ -540,6 +590,15 @@ let () =
           Alcotest.test_case "corpus token arrays pinned" `Quick
             (check_golden corpus_pages expected_corpus);
         ] );
+      ( "word scan",
+        [
+          Alcotest.test_case "Table 4 pages: tokenize's words" `Quick
+            (check_scan table4);
+          Alcotest.test_case "corpus pages: tokenize's words" `Quick
+            (check_scan corpus_pages);
+          Alcotest.test_case "an entity run is split once" `Quick
+            test_scan_entity_run;
+        ] );
       ( "differential",
         [
           differential "tokenize = former tokenizer on tag soup" soup
@@ -549,5 +608,9 @@ let () =
             random_bytes tokenize_matches;
           differential "lex = former lexer on random bytes" random_bytes
             lex_matches;
+          differential "word scan = tokenize's words on tag soup" soup
+            scan_matches;
+          differential "word scan = tokenize's words on random bytes"
+            random_bytes scan_matches;
         ] );
     ]
