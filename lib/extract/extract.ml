@@ -50,6 +50,4 @@ let of_token_list tokens =
 let of_slot slot = of_token_list (Tabseg_template.Slot.tokens slot)
 let of_tokens stream = of_token_list (Array.to_list stream)
 
-let equal_text a b = List.equal String.equal a.words b.words
-
 let pp ppf t = Format.fprintf ppf "E%d:%S@%d" (t.id + 1) t.text t.start_index

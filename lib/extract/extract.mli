@@ -20,7 +20,4 @@ val of_slot : Tabseg_template.Slot.t -> t list
 val of_tokens : Token.t array -> t list
 (** Same, over a whole token stream. *)
 
-val equal_text : t -> t -> bool
-(** Extracts with the same word sequence. *)
-
 val pp : Format.formatter -> t -> unit
