@@ -580,7 +580,8 @@ let serve_cmd =
   let auth_arg =
     let doc =
       "Shared secret: clients must present exactly this token in their \
-       handshake or be rejected. Unset: no authentication."
+       handshake or be rejected. Unset: no authentication, which only a \
+       Unix socket or a loopback TCP address allows."
     in
     Arg.(
       value & opt (some string) None & info [ "auth-token" ] ~doc ~docv:"TOKEN")
@@ -640,6 +641,9 @@ let serve_cmd =
       Printf.eprintf "tabseg serve: cannot bind %s: %s (%s %s)\n"
         (Tabseg_daemon.Protocol.address_to_string listen)
         (Unix.error_message err) fn arg;
+      exit 1
+    | exception Invalid_argument message ->
+      Printf.eprintf "tabseg serve: %s\n" message;
       exit 1
     | t ->
       Printf.printf "tabseg daemon listening on %s (pid %d, %d proc(s))\n"

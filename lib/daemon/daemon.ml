@@ -96,12 +96,50 @@ let resolve_host host =
     | _ | (exception Not_found) ->
       raise (Unix.Unix_error (Unix.EINVAL, "resolve", host)))
 
+let is_loopback addr =
+  addr = Unix.inet6_addr_loopback
+  || String.starts_with ~prefix:"127." (Unix.string_of_inet_addr addr)
+
+(* A TCP listener other hosts can reach must demand a token: the daemon
+   unmarshals what its clients send (docs/DAEMON.md, trust model). *)
+let check_exposure config =
+  match (config.listen, config.auth_token) with
+  | Protocol.Tcp (host, _), None when not (is_loopback (resolve_host host)) ->
+    invalid_arg
+      (Printf.sprintf
+         "Daemon.create: %s is not a loopback address; a TCP listener there \
+          needs an auth token (--auth-token)"
+         (Protocol.address_to_string config.listen))
+  | _ -> ()
+
+(* Make [path] free for a Unix listener. Nothing there: free. A socket
+   that refuses a connection is a stale one from an earlier run: it is
+   unlinked. A socket that accepts is a live server's, and anything else
+   is not the daemon's to delete: both raise and are left as they are. *)
+let claim_socket_path path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+    let probe = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () ->
+        close_quietly probe;
+        true
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+        close_quietly probe;
+        false
+      | exception e ->
+        close_quietly probe;
+        raise e
+    in
+    if live then raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path));
+    Unix.unlink path
+  | _ -> raise (Unix.Unix_error (Unix.EEXIST, "bind", path))
+
 let bind_listener = function
   | Protocol.Unix_socket path ->
-    (* A stale socket file from a previous run would make bind fail;
-       an actual collision with a live daemon still does (the unlink
-       only helps when nothing is listening). *)
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
+    claim_socket_path path;
     let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try
        Unix.bind fd (Unix.ADDR_UNIX path);
@@ -128,6 +166,7 @@ let bind_listener = function
     (fd, bound)
 
 let create ?(config = default_config) () =
+  check_exposure config;
   (* The gateway forks its fleet first, so the initial workers never
      inherit the listening socket; workers forked later (restarts)
      would — the fork hook below has them close it, plus every client

@@ -58,8 +58,13 @@ type t
 
 val create : ?config:config -> unit -> t
 (** Bind + listen, fork the gateway fleet. Raises [Unix.Unix_error]
-    when the address cannot be bound (a stale Unix-socket path is
-    unlinked first). *)
+    when the address cannot be bound. On a Unix-socket path, a socket
+    that refuses connections (left by an earlier run) is unlinked first;
+    a socket that accepts raises [EADDRINUSE] and anything else raises
+    [EEXIST], and neither is touched.
+    @raise Invalid_argument for a [Tcp] address that does not resolve to
+    a loopback address (127.0.0.0/8 or [::1]) when [auth_token] is
+    [None]; nothing is forked or bound. *)
 
 val bound_address : t -> Protocol.address
 (** The address actually listened on — [Tcp] with the real port. *)

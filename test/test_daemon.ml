@@ -701,6 +701,72 @@ let test_tcp_listener () =
   check_string "request served over tcp" (Lazy.force reference)
     (render_reply (submit_exn client (request "tcp")))
 
+(* A Unix listener takes over its path only from a stale socket. *)
+let expect_bind_error name errno f =
+  match f () with
+  | (_ : Daemon.t) -> Alcotest.failf "%s: Daemon.create bound" name
+  | exception Unix.Unix_error (e, "bind", _) when e = errno -> ()
+
+let test_unix_path_regular_file () =
+  let path = temp_sock () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "not a socket");
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let config = { (daemon_config ()) with Daemon.listen = Protocol.Unix_socket path } in
+  expect_bind_error "a regular file" Unix.EEXIST (fun () -> Daemon.create ~config ());
+  check_string "the file is untouched" "not a socket"
+    (In_channel.with_open_bin path In_channel.input_all)
+
+let test_unix_path_live_daemon () =
+  let config = daemon_config () in
+  with_daemon config @@ fun handle ->
+  expect_bind_error "a live daemon's path" Unix.EADDRINUSE (fun () ->
+      Daemon.create ~config ());
+  let client = connect_exn handle.Daemon.address in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  check_string "the first daemon still answers" (Lazy.force reference)
+    (render_reply (submit_exn client (request "after-collision")))
+
+let test_unix_path_stale_socket () =
+  let config = daemon_config () in
+  (match config.Daemon.listen with
+  | Protocol.Unix_socket path ->
+    (* A socket bound and closed without an unlink, as a killed daemon
+       leaves it. *)
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        Unix.bind fd (Unix.ADDR_UNIX path))
+  | Protocol.Tcp _ -> Alcotest.fail "expected a unix address");
+  with_daemon config @@ fun handle ->
+  let client = connect_exn handle.Daemon.address in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  check_string "served over the replaced path" (Lazy.force reference)
+    (render_reply (submit_exn client (request "stale")))
+
+(* Other hosts can reach 0.0.0.0: without a token it is refused before
+   anything is forked, with one it binds. *)
+let test_tcp_off_loopback_needs_token () =
+  let config =
+    { (daemon_config ()) with Daemon.listen = Protocol.Tcp ("0.0.0.0", 0) }
+  in
+  (match Daemon.create ~config () with
+  | (_ : Daemon.t) -> Alcotest.fail "0.0.0.0 without a token was bound"
+  | exception Invalid_argument message ->
+    check_bool "the error names --auth-token" true
+      (let flag = "--auth-token" in
+       let rec from i =
+         i + String.length flag <= String.length message
+         && (String.sub message i (String.length flag) = flag || from (i + 1))
+       in
+       from 0));
+  let daemon =
+    Daemon.create ~config:{ config with Daemon.auth_token = Some "s3cret" } ()
+  in
+  (match Daemon.bound_address daemon with
+  | Protocol.Tcp (_, port) -> check_bool "bound with a token" true (port > 0)
+  | Protocol.Unix_socket _ -> Alcotest.fail "expected a tcp address");
+  Daemon.request_drain daemon;
+  Daemon.serve daemon
+
 (* ------------------------------ loadgen ----------------------------- *)
 
 let test_loadgen_closed_loop () =
@@ -883,7 +949,17 @@ let () =
             test_serve_restores_signals;
         ] );
       ( "transport",
-        [ Alcotest.test_case "tcp listener" `Slow test_tcp_listener ] );
+        [
+          Alcotest.test_case "tcp listener" `Slow test_tcp_listener;
+          Alcotest.test_case "a regular file at the unix path survives"
+            `Quick test_unix_path_regular_file;
+          Alcotest.test_case "a live daemon's unix path is not taken over"
+            `Slow test_unix_path_live_daemon;
+          Alcotest.test_case "a stale socket file is replaced" `Slow
+            test_unix_path_stale_socket;
+          Alcotest.test_case "tcp off loopback needs an auth token" `Slow
+            test_tcp_off_loopback_needs_token;
+        ] );
       ( "loadgen",
         [
           Alcotest.test_case "closed loop, byte-identical" `Slow
